@@ -23,7 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potentials import Potential, Sampled
-from .transfer import ScatteringData, TransferMatrix
+from .transfer import (
+    ScatteringData,
+    SpectralSingularityError,
+    TransferMatrix,
+    amplitudes_from_matrix,
+)
 
 __all__ = [
     "ApproxReport",
@@ -80,12 +85,10 @@ def born_first(p: Potential, k: float, tol: float = 1e-10) -> ScatteringData:
 
 
 def _amplitudes_of_truncation(m: TransferMatrix) -> ScatteringData:
-    m22 = m.m22
-    if abs(m22) < 1e-12 * max(m.norm(), 1e-300):
-        raise DysonSingularError(
-            f"truncated M22 = {m22} at k = {m.k}; amplitudes undefined"
-        )
-    return ScatteringData(-m.m21 / m22, m.m12 / m22, 1.0 / m22, m.k)
+    try:
+        return amplitudes_from_matrix(m)
+    except SpectralSingularityError as exc:
+        raise DysonSingularError(f"truncated {exc}") from exc
 
 
 def dyson_order1(p: Potential, k: float, tol: float = 1e-10) -> ApproxReport:

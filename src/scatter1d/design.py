@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engines import s_curve_solve, transfer_matrix_dynamical
+from .engines import s_curve_solve
 from .potentials import Potential, SmisProfile, Sum
+from .scan import matrix_at
 from .transfer import ScatteringData, TransferMatrix, matrix_from_amplitudes
 
 __all__ = [
@@ -193,19 +194,7 @@ def build_right_invisible(
     intrinsic -i phase onto the target phase phi0; integer m relocates the
     support in whole periods ell = pi/k0 without touching the amplitudes.
     """
-    target = complex(r_left_target)
-    if target == 0:
-        raise ValueError("target left reflection must be nonzero")
-    n = default_winding(abs(target)) if winding is None else int(winding)
-    alpha = alpha_for_reflection(abs(target), n)
-    phi0 = math.atan2(target.imag, target.real) % (2 * math.pi)
-    a = (phi0 + math.pi / 2 + 2 * math.pi * m) / (2 * k0)
-    profile = SmisProfile(k0, alpha, n, a, conjugated=False)
-    expect = ScatteringData(target, 0.0, 1.0, k0)
-    residuals = _verify_block(profile, k0, expect, verify_tol)
-    return InvisibleBlock(
-        "right_invisible", target, profile, _factor_for("right_invisible", target), residuals
-    )
+    return _build_invisible(k0, r_left_target, winding, m, verify_tol, conjugated=False)
 
 
 def build_left_invisible(
@@ -220,20 +209,32 @@ def build_left_invisible(
     Built as the time reversal (pointwise conjugate) of the right-invisible
     block for R_l = -conj(R_r_target), which maps (R_l, 0, 1) to (0, -R_l*, 1).
     """
-    target = complex(r_right_target)
+    return _build_invisible(k0, r_right_target, winding, m, verify_tol, conjugated=True)
+
+
+def _build_invisible(
+    k0: float,
+    reflection: complex,
+    winding: int | None,
+    m: int,
+    verify_tol: float,
+    conjugated: bool,
+) -> InvisibleBlock:
+    """The right-invisible block for R_l = reflection, or (conjugated) the
+    left-invisible block for R_r = reflection, its time reversal."""
+    target = complex(reflection)
     if target == 0:
-        raise ValueError("target right reflection must be nonzero")
-    inner_target = -np.conj(target)
+        raise ValueError(f"target {'right' if conjugated else 'left'} reflection must be nonzero")
+    phase_target = -np.conj(target) if conjugated else target
     n = default_winding(abs(target)) if winding is None else int(winding)
     alpha = alpha_for_reflection(abs(target), n)
-    phi0 = math.atan2(inner_target.imag, inner_target.real) % (2 * math.pi)
+    phi0 = math.atan2(phase_target.imag, phase_target.real) % (2 * math.pi)
     a = (phi0 + math.pi / 2 + 2 * math.pi * m) / (2 * k0)
-    profile = SmisProfile(k0, alpha, n, a, conjugated=True)
-    expect = ScatteringData(0.0, target, 1.0, k0)
-    residuals = _verify_block(profile, k0, expect, verify_tol)
-    return InvisibleBlock(
-        "left_invisible", target, profile, _factor_for("left_invisible", target), residuals
-    )
+    profile = SmisProfile(k0, alpha, n, a, conjugated)
+    orientation = "left_invisible" if conjugated else "right_invisible"
+    r_left, r_right = (0.0, target) if conjugated else (target, 0.0)
+    residuals = _verify_block(profile, k0, ScatteringData(r_left, r_right, 1.0, k0), verify_tol)
+    return InvisibleBlock(orientation, target, profile, _factor_for(orientation, target), residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +388,7 @@ def solve_single_mode(
     and conjugates the result; doubly reflectionless targets use the
     four-factor split.  Blocks are placed left to right with positive gaps
     (whole-period translations keep each block's amplitudes on target), and
-    the composed potential is forward-verified with the dynamical engine.
+    the composed potential is forward-verified block by block with ``matrix_at``.
     """
     k0 = spec.k0
     ell = math.pi / k0
@@ -417,7 +418,7 @@ def solve_single_mode(
         )
 
     if forward_verify and blocks:
-        m = transfer_matrix_dynamical(potential, k0, tol=verify_tol / 50)
+        m = matrix_at(potential, k0, "auto", verify_tol / 50)
         achieved = m.m
         residual = float(np.abs(achieved - target).max())
         if residual > 5 * verify_tol * max(1.0, float(np.abs(target).max())):

@@ -19,6 +19,9 @@ Three independent routes to the same scattering data:
   unit-circle arc z = e^{-2ikx}, parameterized by x so that multi-winding
   curves stay single-valued, with the left-reflection contour integral
   accumulated by the same stepper.
+
+Both ODE routes restart at every interpolation node: adaptive error control
+underestimates the error of a step that strides a kink of sampled data.
 """
 
 from __future__ import annotations
@@ -59,8 +62,7 @@ class ToleranceNotReached(RuntimeError):
     """The dynamical engine cannot vouch for its tolerance.
 
     Raised when slice refinement hits the cap before two successive
-    Richardson values agree within tol, or when an interpolated potential
-    reports no nodes, so its slices cannot be aligned with the kinks.
+    Richardson values agree within tol.
     """
 
 
@@ -152,14 +154,7 @@ def transfer_matrix_dynamical(
     n_pieces = len(active) + len(deltas)
     if n_pieces == 0:
         return TransferMatrix(IDENTITY, k)
-    nodes = np.empty(0)
-    if active and p.interpolation_scale() is not None:
-        nodes = p.interpolation_nodes()
-        if not nodes.size:
-            raise ToleranceNotReached(
-                "interpolated potential reports no interpolation nodes; "
-                "slices cannot be aligned with its kinks"
-            )
+    nodes = p.interpolation_nodes()
     seg_tol = tol / max(1, len(active))
     n_start_total = max(64, math.ceil(8 * k * total_len / math.pi)) if total_len else 0
 
@@ -168,18 +163,22 @@ def transfer_matrix_dynamical(
         pieces.append((a, delta_matrix(z, a, k).m))
     for lo, hi in active:
         share = max(16, math.ceil(n_start_total * (hi - lo) / total_len))
-        cells = _cell_edges(nodes, lo, hi)
+        cells = _cuts([lo, hi], nodes)
         pieces.append((lo, _refine_span(p, cells, k, seg_tol, share, max_slices)))
     pieces.sort(key=lambda item: item[0])
     stack = np.stack([m for _, m in pieces])
     return TransferMatrix(chain_product(stack), k)
 
 
-def _cell_edges(nodes: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """[lo, interpolation nodes strictly inside (lo, hi), hi]."""
+def _cuts(edges, nodes: np.ndarray) -> np.ndarray:
+    """The edges, sorted and unique, plus the interpolation nodes strictly
+    between edges[0] and edges[-1], which must be the outermost two.
+
+    Every engine cuts here, so no slice and no ODE step straddles a kink.
+    """
+    lo, hi = edges[0], edges[-1]
     gap = 1e-14 * max(abs(lo), abs(hi), 1.0)
-    inner = nodes[(nodes > lo + gap) & (nodes < hi - gap)]
-    return np.concatenate(([lo], inner, [hi]))
+    return np.union1d(edges, nodes[(nodes > lo + gap) & (nodes < hi - gap)])
 
 
 def _slices(cells: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -278,17 +277,14 @@ def scattering_solution(
     spans, deltas = _segments(p)
     rhs = _schrodinger_rhs(p, k)
     rtol, atol = tol, tol * 1e-3
-    interp = p.interpolation_scale()
-    max_step = interp if interp else np.inf
-    scale = max(abs(a), abs(b), 1.0)
 
     # merged delta strengths by location (a Sum may stack terms at one point)
     delta_at: dict[float, complex] = {}
     for t in deltas:
         delta_at[t.location] = delta_at.get(t.location, 0.0) + t.strength
 
-    checkpoints = sorted({a, b, *(lo for lo, _ in spans), *(hi for _, hi in spans),
-                          *delta_at})
+    edges = [a, *(lo for lo, _ in spans), *(hi for _, hi in spans), *delta_at, b]
+    checkpoints = _cuts(edges, p.interpolation_nodes()).tolist()
     backward = side == "left"
     if backward:
         checkpoints = checkpoints[::-1]
@@ -317,8 +313,7 @@ def scattering_solution(
     apply_delta(x_cur)
     for x_next in checkpoints[1:]:
         y0 = [psi.real, psi.imag, dpsi.real, dpsi.imag, 0.0, 0.0, 0.0, 0.0]
-        sol = solve_ivp(rhs, (x_cur, x_next), y0, method="DOP853", rtol=rtol,
-                        atol=atol, max_step=max_step)
+        sol = solve_ivp(rhs, (x_cur, x_next), y0, method="DOP853", rtol=rtol, atol=atol)
         if not sol.success:
             raise RuntimeError(f"integration failed: {sol.message}")
         psi = sol.y[0, -1] + 1j * sol.y[1, -1]
@@ -464,14 +459,12 @@ def s_curve_solve(
 
     z_minus = np.exp(-2j * k * a)
     y0 = [z_minus.real, z_minus.imag, (-2j * k * z_minus).real, (-2j * k * z_minus).imag, 0.0, 0.0]
-    cuts = sorted({a, b, *(x for x in p.internal_boundaries() if a < x < b)})
-    interp = p.interpolation_scale()
-    max_step = interp if interp else np.inf
+    edges = [a, *(x for x in p.internal_boundaries() if a < x < b), b]
+    cuts = _cuts(edges, p.interpolation_nodes()).tolist()
     xs, ss, sps = [], [], []
     y = y0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        sol = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=tol,
-                        atol=tol * 1e-3, max_step=max_step)
+        sol = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=tol, atol=tol * 1e-3)
         if not sol.success:
             raise RuntimeError(f"S-curve integration failed: {sol.message}")
         xs.append(sol.t)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -40,8 +41,9 @@ __all__ = [
     "piecewise_matrix",
     "UnimodularPower",
     "unimodular_power",
-    "chebyshev_coefficients",
     "locally_periodic_matrix",
+    "structural_matrix",
+    "numeric_leaf_copies",
     "exact_matrix",
     "NotExactlySolvable",
 ]
@@ -186,11 +188,6 @@ def _u_pair(trace: complex, n: int) -> tuple[complex, complex, complex]:
     return gamma, ratio(n - 1), ratio(n)
 
 
-def chebyshev_coefficients(trace: complex, n: int) -> tuple[complex, complex, complex]:
-    """Branch parameter gamma = arccos(trace/2) plus (U_n, U_{n+1})."""
-    return _u_pair(trace, n)
-
-
 def unimodular_power(base, n: int) -> UnimodularPower:
     """L^n = U_{n+1}(gamma) L - U_n(gamma) I for det L = 1 and n >= 1."""
     L = np.asarray(base, dtype=complex)
@@ -234,33 +231,56 @@ def locally_periodic_matrix(
 
 
 # ---------------------------------------------------------------------------
-# Dispatcher
+# Structural solver
 # ---------------------------------------------------------------------------
 
 
-def exact_matrix(p: Potential, k: float) -> TransferMatrix:
-    """Closed-form transfer matrix where one exists.
-
-    Handles delta combs, piecewise-constant stacks, locally periodic repeats
-    of solvable cells, and the translation/time-reversal/disjoint-sum
-    combinators.  Raises NotExactlySolvable otherwise.
+def structural_matrix(p: Potential, k: float, leaf: Callable | None) -> TransferMatrix:
+    """Transfer matrix by one walk over the potential tree: closed forms at
+    delta combs and piecewise stacks; the translation, time-reversal,
+    disjoint-sum and Chebyshev repeat rules (for any cell) above them.  A leaf
+    with no closed form, an overlapping sum included, goes to ``leaf(p)``,
+    or raises NotExactlySolvable when ``leaf`` is None.
     """
     if isinstance(p, DeltaComb):
         return multi_delta_matrix(p, k)
     if isinstance(p, PiecewiseConstant):
         return piecewise_matrix(p, k)
     if isinstance(p, Translated):
-        return translate_matrix(exact_matrix(p.inner, k), p.shift)
+        return translate_matrix(structural_matrix(p.inner, k, leaf), p.shift)
     if isinstance(p, TimeReversed):
-        return time_reverse_matrix(exact_matrix(p.inner, k))
+        return time_reverse_matrix(structural_matrix(p.inner, k, leaf))
     if isinstance(p, LocallyPeriodic):
-        return locally_periodic_matrix(exact_matrix(p.cell, k), p.period, p.copies, k)
-    if isinstance(p, Sum):
+        return locally_periodic_matrix(structural_matrix(p.cell, k, leaf), p.period, p.copies, k)
+    if isinstance(p, Sum) and not p.overlapping:
         if not p.parts:
             return TransferMatrix(IDENTITY, k)
-        if p.overlapping:
-            raise NotExactlySolvable(
-                "sum has overlapping supports; composition requires disjoint pieces"
-            )
-        return compose_chain([exact_matrix(q, k) for q in p.spatially_sorted()])
+        return compose_chain([structural_matrix(q, k, leaf) for q in p.spatially_sorted()])
+    if leaf is not None:
+        return leaf(p)
+    if isinstance(p, Sum):
+        raise NotExactlySolvable(
+            "sum has overlapping supports; composition requires disjoint pieces"
+        )
     raise NotExactlySolvable(f"no closed form for {type(p).__name__}")
+
+
+def numeric_leaf_copies(p: Potential) -> int:
+    """Leaves ``structural_matrix`` hands to ``leaf``, a repeat's counted once per copy."""
+    if isinstance(p, (DeltaComb, PiecewiseConstant)):
+        return 0
+    if isinstance(p, (Translated, TimeReversed)):
+        return numeric_leaf_copies(p.inner)
+    if isinstance(p, LocallyPeriodic):
+        return p.copies * numeric_leaf_copies(p.cell)
+    if isinstance(p, Sum) and not p.overlapping:
+        return sum(numeric_leaf_copies(q) for q in p.parts)
+    return 1
+
+
+def exact_matrix(p: Potential, k: float) -> TransferMatrix:
+    """Closed-form transfer matrix: ``structural_matrix`` with no numeric leaf.
+
+    Raises NotExactlySolvable at the first leaf with no closed form.
+    """
+    return structural_matrix(p, k, None)

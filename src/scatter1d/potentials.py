@@ -239,19 +239,16 @@ class Potential:
         return bool(self.delta_terms())
 
     def interpolation_scale(self) -> float | None:
-        """Grid scale below which the smooth part is only interpolated (or None).
-
-        ODE engines cap their step size at this scale: adaptive error control
-        underestimates the error of striding across interpolation kinks.
-        """
-        return None
+        """Smallest spacing of the interpolation nodes, or None if there are none."""
+        nodes = self.interpolation_nodes()
+        return float(np.diff(nodes).min()) if nodes.size > 1 else None
 
     def interpolation_nodes(self) -> np.ndarray:
         """Sorted grid nodes where the interpolated smooth part has kinks.
 
-        Empty unless ``interpolation_scale`` is set; between consecutive nodes
-        the smooth part is as smooth as its analytic pieces.  The dynamical
-        engine slices on these nodes so that no slice straddles a kink.
+        Empty for analytic potentials; between consecutive nodes the smooth
+        part is as smooth as its analytic pieces.  Every engine cuts its
+        slices and ODE steps at these nodes, so none straddles a kink.
         """
         return np.empty(0)
 
@@ -612,6 +609,7 @@ class Sampled(Potential):
     x0: float
     dx: float
     values: np.ndarray
+    grid: np.ndarray = field(init=False, repr=False)
 
     def __init__(self, x0: float, dx: float, values):
         vals = np.asarray(values, dtype=complex)
@@ -622,15 +620,12 @@ class Sampled(Potential):
         object.__setattr__(self, "x0", float(x0))
         object.__setattr__(self, "dx", float(dx))
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "grid", self.x0 + self.dx * np.arange(vals.size))
 
     @classmethod
     def from_callable(cls, f, a: float, b: float, n: int = 2048) -> "Sampled":
         x = np.linspace(a, b, n + 1)
         return cls(a, x[1] - x[0], np.asarray(f(x), dtype=complex))
-
-    @property
-    def grid(self) -> np.ndarray:
-        return self.x0 + self.dx * np.arange(self.values.size)
 
     def support(self):
         return (self.x0, self.x0 + self.dx * (self.values.size - 1))
@@ -640,9 +635,6 @@ class Sampled(Potential):
         re = np.interp(x, g, self.values.real, left=0.0, right=0.0)
         im = np.interp(x, g, self.values.imag, left=0.0, right=0.0)
         return re + 1j * im
-
-    def interpolation_scale(self):
-        return self.dx
 
     def interpolation_nodes(self):
         return self.grid
@@ -704,11 +696,6 @@ class Sum(Potential):
     def spatially_sorted(self) -> tuple[Potential, ...]:
         return tuple(sorted(self.parts, key=lambda p: p.support()[0]))
 
-    def interpolation_scale(self):
-        scales = [q.interpolation_scale() for q in self.parts]
-        scales = [v for v in scales if v is not None]
-        return min(scales) if scales else None
-
     def interpolation_nodes(self):
         nodes = [q.interpolation_nodes() for q in self.parts]
         return np.unique(np.concatenate(nodes)) if nodes else np.empty(0)
@@ -763,9 +750,6 @@ class Translated(Potential):
     def internal_boundaries(self):
         return tuple(b + self.shift for b in self.inner.internal_boundaries())
 
-    def interpolation_scale(self):
-        return self.inner.interpolation_scale()
-
     def interpolation_nodes(self):
         return self.inner.interpolation_nodes() + self.shift
 
@@ -797,9 +781,6 @@ class TimeReversed(Potential):
     def internal_boundaries(self):
         return self.inner.internal_boundaries()
 
-    def interpolation_scale(self):
-        return self.inner.interpolation_scale()
-
     def interpolation_nodes(self):
         return self.inner.interpolation_nodes()
 
@@ -824,6 +805,7 @@ class LocallyPeriodic(Potential):
     cell: Potential
     copies: int
     period: float
+    _sum: Sum = field(init=False, repr=False, compare=False)
 
     def __init__(self, cell: Potential, copies: int, period: float):
         a, b = cell.support()
@@ -834,12 +816,11 @@ class LocallyPeriodic(Potential):
         object.__setattr__(self, "cell", cell)
         object.__setattr__(self, "copies", int(copies))
         object.__setattr__(self, "period", float(period))
+        shifted = [Translated(cell, j * self.period) for j in range(1, self.copies)]
+        object.__setattr__(self, "_sum", Sum([cell, *shifted]))
 
     def as_sum(self) -> Sum:
-        return Sum(
-            [self.cell]
-            + [Translated(self.cell, j * self.period) for j in range(1, self.copies)]
-        )
+        return self._sum
 
     def support(self):
         a, b = self.cell.support()
@@ -853,9 +834,6 @@ class LocallyPeriodic(Potential):
 
     def internal_boundaries(self):
         return self.as_sum().internal_boundaries()
-
-    def interpolation_scale(self):
-        return self.cell.interpolation_scale()
 
     def interpolation_nodes(self):
         return self.as_sum().interpolation_nodes()

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .engines import scattering_solution, transfer_matrix_dynamical
-from .exact import NotExactlySolvable, exact_matrix
+from .exact import exact_matrix, numeric_leaf_copies, structural_matrix
 from .potentials import Potential, TimeReversed
 from .transfer import (
     Classification,
@@ -61,16 +61,19 @@ class NoZeroFound(RuntimeError):
 
 
 def matrix_at(p: Potential, k: float, solver: str = "auto", tol: float = 1e-9) -> TransferMatrix:
-    """Transfer matrix via the requested solver ('exact', 'dynamical', 'auto')."""
+    """Transfer matrix via the requested solver ('exact', 'dynamical', 'auto').
+
+    'auto' is ``structural_matrix`` with the dynamical engine at the leaves
+    that have no closed form, each at tol over the number of such leaf copies
+    (a cell repeated n times is solved once, at tol/n).
+    """
     if solver == "exact":
         return exact_matrix(p, k)
     if solver == "dynamical":
         return transfer_matrix_dynamical(p, k, tol)
     if solver == "auto":
-        try:
-            return exact_matrix(p, k)
-        except NotExactlySolvable:
-            return transfer_matrix_dynamical(p, k, tol)
+        leaf_tol = tol / max(1, numeric_leaf_copies(p))
+        return structural_matrix(p, k, lambda q: transfer_matrix_dynamical(q, k, leaf_tol))
     raise ValueError(f"unknown solver {solver!r}")
 
 

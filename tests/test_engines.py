@@ -1,10 +1,14 @@
 """Numerical engines: dynamical slicing, wave-equation solves, S-curve method."""
 
+import functools
+import timeit
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 import scatter1d as s
+from scatter1d.exact import numeric_leaf_copies
 from scatter1d.transfer import IDENTITY
 from conftest import assert_close, corpus, rel_diff, smooth_corpus
 
@@ -110,8 +114,9 @@ class TestDynamical:
 class _KinksAsBoundaries(s.Potential):
     """The same potential with its interpolation nodes reported as boundaries.
 
-    The wave-equation solve then stops at every kink instead of striding
-    across it, which makes it a reference good to ~1e-12 on sampled data.
+    The wave-equation solve then stops at every kink as a support boundary,
+    apart from the engines' own node cuts, which makes it a reference good
+    to ~1e-12 on sampled data.
     """
 
     def __init__(self, inner):
@@ -145,13 +150,96 @@ class TestDynamicalSampled:
     @pytest.mark.parametrize("name", list(sampled_cases()))
     def test_keeps_tol_without_floor(self, name):
         # slice midpoints that land on the sample nodes make two slice counts
-        # agree by aliasing while the error is ~5e-7; no interpolation floor
+        # agree by aliasing while the error is ~5e-7, and an ODE step that
+        # strides a node misses tol by up to ~300x; no interpolation floor
         p, k = sampled_cases()[name]
         ref = s.scattering_solution(_KinksAsBoundaries(p), k, "left", 1e-12)
         for tol in (1e-8, 1e-9):
-            d = s.transfer_matrix_dynamical(p, k, tol).amplitudes()
-            assert abs(d.r_left - ref.r) <= tol * max(1, abs(ref.r)), (name, tol)
-            assert abs(d.t - ref.t) <= tol * max(1, abs(ref.t)), (name, tol)
+            routes = {
+                "dynamical": s.transfer_matrix_dynamical(p, k, tol).amplitudes(),
+                "s_curve": s.s_curve_solve(p, k, tol)[0],
+                "ls": s.ls_amplitudes(p, k, tol).data,
+            }
+            for route, d in routes.items():
+                assert abs(d.r_left - ref.r) <= tol * max(1, abs(ref.r)), (name, route, tol)
+                assert abs(d.t - ref.t) <= tol * max(1, abs(ref.t)), (name, route, tol)
+
+
+def wave_matrix(p, k):
+    """M from the left and right noded wave-equation solves at 1e-12.
+
+    A_- = M22 and B_- = -M21 (left solve), A_+ = M12 (right solve), and
+    det M = 1 gives M11; no slicing, no composition.
+    """
+    q = _KinksAsBoundaries(p)
+    left = s.scattering_solution(q, k, "left", 1e-12)
+    right = s.scattering_solution(q, k, "right", 1e-12)
+    m12, m21, m22 = right.a_plus, -left.b_minus, left.a_minus
+    return np.array([[(1 + m12 * m21) / m22, m12], [m21, m22]])
+
+
+PERIODIC_CELLS = {  # cell, period
+    "grating": (s.ExpGrating(0.3 - 0.1j, 1, 0.4), 0.6),
+    "smis": (s.SmisProfile(1.0, 0.02, 2, 0.3), 7.0),
+    "sampled_bump": (corpus()["sampled_bump"], 1.6),
+}
+
+
+@functools.cache
+def cell_reference(name):
+    cell, _ = PERIODIC_CELLS[name]
+    return wave_matrix(cell, K_TEST)
+
+
+def repeat_reference(name, n):
+    """n translated copies of the cell's wave-equation matrix, multiplied out."""
+    _, ell = PERIODIC_CELLS[name]
+    cell = s.TransferMatrix(cell_reference(name), K_TEST)
+    return s.compose_chain([s.translate_matrix(cell, j * ell) for j in range(n)]).m
+
+
+def assert_within_tol(m, ref, tol, label):
+    err = np.abs(m - ref).max()
+    assert err <= tol * max(1, np.linalg.norm(ref)), (label, err)
+
+
+class TestStructuralSolver:
+    """matrix_at 'auto': closed forms at solvable leaves, the dynamical engine
+    at the others, the Chebyshev repeat for any cell."""
+
+    @pytest.mark.parametrize("n", [1, 5, 50])
+    @pytest.mark.parametrize("cell", list(PERIODIC_CELLS))
+    def test_periodic_numeric_cell(self, cell, n):
+        unit, ell = PERIODIC_CELLS[cell]
+        p = s.LocallyPeriodic(unit, n, ell)
+        m = s.matrix_at(p, K_TEST, "auto", TOL).m
+        assert_within_tol(m, repeat_reference(cell, n), TOL, (cell, n))
+
+    def test_disjoint_sum_with_numeric_repeat(self):
+        barrier = s.PiecewiseConstant.barrier(0.8j, -1.5, -0.7)
+        repeat = s.LocallyPeriodic(PERIODIC_CELLS["grating"][0], 5, 0.6)
+        p = s.Sum([repeat, barrier])
+        assert numeric_leaf_copies(p) == 5
+        m = s.matrix_at(p, K_TEST, "auto", TOL).m
+        assert_within_tol(m, wave_matrix(p, K_TEST), TOL, "sum")
+
+    def test_overlapping_sum_is_one_leaf(self):
+        p, k = sampled_cases()["overlapping_sum"]
+        assert numeric_leaf_copies(p) == 1
+        m = s.matrix_at(p, k, "auto", TOL).m
+        assert np.abs(m - s.transfer_matrix_dynamical(p, k, TOL).m).max() == 0
+
+    def test_leaf_copies_multiply_through_repeats(self):
+        cell = s.Sum([s.ExpGrating(0.2, 1, 0.5), s.DeltaComb([(0.3, 0.7)]),
+                      s.Translated(s.SmisProfile(1.0, 0.02, 1), 1.0)])
+        p = s.TimeReversed(s.LocallyPeriodic(s.LocallyPeriodic(cell, 3, 5.0), 4, 16.0))
+        assert numeric_leaf_copies(p) == 2 * 3 * 4
+        assert numeric_leaf_copies(corpus()["locally_periodic"]) == 0
+
+    def test_fifty_copy_grating_under_50_ms(self):
+        p = s.LocallyPeriodic(PERIODIC_CELLS["grating"][0], 50, 0.6)
+        best = min(timeit.repeat(lambda: s.matrix_at(p, K_TEST, "auto", TOL), number=1, repeat=3))
+        assert best < 0.05, best
 
 
 class TestScatteringSolution:

@@ -5,7 +5,35 @@ import pytest
 
 import scatter1d as s
 from scatter1d.transfer import IDENTITY, propagation_matrix
-from conftest import assert_close, rel_diff
+from conftest import assert_close, corpus, rel_diff
+
+
+def rule_by_rule(p, k):
+    """The closed-form rules applied node by node, as a reference dispatcher."""
+    if isinstance(p, s.DeltaComb):
+        return s.multi_delta_matrix(p, k)
+    if isinstance(p, s.PiecewiseConstant):
+        return s.piecewise_matrix(p, k)
+    if isinstance(p, s.Translated):
+        return s.translate_matrix(rule_by_rule(p.inner, k), p.shift)
+    if isinstance(p, s.TimeReversed):
+        return s.time_reverse_matrix(rule_by_rule(p.inner, k))
+    if isinstance(p, s.LocallyPeriodic):
+        return s.locally_periodic_matrix(rule_by_rule(p.cell, k), p.period, p.copies, k)
+    if isinstance(p, s.Sum) and not p.overlapping:
+        return s.compose_chain([rule_by_rule(q, k) for q in p.spatially_sorted()])
+    raise s.NotExactlySolvable(type(p).__name__)
+
+
+def closed_form_corpus():
+    out = {}
+    for name, p in corpus().items():
+        try:
+            rule_by_rule(p, 1.0)
+        except s.NotExactlySolvable:
+            continue
+        out[name] = p
+    return out
 
 
 class TestDeltaMatrix:
@@ -232,6 +260,12 @@ class TestExactDispatcher:
                 continue
             assert m.det_residual() < 1e-10, name
 
+    @pytest.mark.parametrize("name", list(closed_form_corpus()))
+    def test_same_matrix_as_rule_by_rule(self, name):
+        p = closed_form_corpus()[name]
+        for k in (0.7, 1.15, 2.3):
+            assert np.abs(s.exact_matrix(p, k).m - rule_by_rule(p, k).m).max() == 0, k
+
     def test_translated_and_reversed(self):
         base = s.PiecewiseConstant((0.0, 1.0), (0.9 + 0.4j,))
         k = 1.05
@@ -254,3 +288,6 @@ class TestExactDispatcher:
     def test_no_closed_form(self):
         with pytest.raises(s.NotExactlySolvable):
             s.exact_matrix(s.SmisProfile(1.0, 0.01, 1), 1.0)
+        # a numeric cell inside a closed-form tree is still no closed form
+        with pytest.raises(s.NotExactlySolvable):
+            s.exact_matrix(s.LocallyPeriodic(s.ExpGrating(0.3, 1, 0.4), 5, 0.6), 1.0)
