@@ -15,7 +15,6 @@ import argparse
 import cmath
 import json
 import math
-import os
 import sys
 
 from . import approx as approx_mod
@@ -89,26 +88,11 @@ def _load_spec(path: str) -> Potential:
         raise CliParseError(f"cannot read potential spec {path!r}: {exc}") from exc
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("SCATTER1D_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise CliParseError(f"bad SCATTER1D_THREADS value {env!r}") from exc
-    return os.cpu_count() or 1
-
-
 def cmd_solve(args) -> int:
     p = _load_spec(args.spec)
     if args.k <= 0:
         raise CliParseError("k must be positive")
-    try:
-        m = matrix_at(p, args.k, args.solver, args.tol)
-    except NotExactlySolvable as exc:
-        raise CliParseError(str(exc)) from exc
+    m = matrix_at(p, args.k, args.solver, args.tol)
     cls = classify(m)
     record = {
         "schema": "v1",
@@ -135,15 +119,7 @@ def cmd_scan(args) -> int:
     if not (0 < args.k_min < args.k_max):
         raise CliParseError("need 0 < k-min < k-max")
     points = args.points or default_scan_points(p, args.k_min, args.k_max)
-    result = scan(
-        p,
-        args.k_min,
-        args.k_max,
-        points,
-        solver=args.solver,
-        tol=args.tol,
-        threads=_threads(args),
-    )
+    result = scan(p, args.k_min, args.k_max, points, solver=args.solver, tol=args.tol)
     write_scan_csv(result, args.out_csv)
     summary = singular_summary(result)
     _dump(summary, args.summary_json)
@@ -264,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--points", type=int, help="grid size (default: 512 per unit k*L)")
     sp.add_argument("--out-csv", required=True)
     sp.add_argument("--summary-json", help="summary path (default: stdout)")
-    sp.add_argument("--threads", type=int, help="parallel grid evaluation "
-                    "(default: SCATTER1D_THREADS or all cores)")
     common_solver(sp)
     sp.set_defaults(func=cmd_scan)
 
@@ -305,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliParseError as exc:
+    except (CliParseError, NotExactlySolvable) as exc:  # --solver exact with no closed form
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (DesignVerificationError,) as exc:

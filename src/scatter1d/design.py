@@ -24,7 +24,7 @@ import numpy as np
 from .engines import s_curve_solve
 from .potentials import Potential, SmisProfile, Sum
 from .scan import matrix_at
-from .transfer import ScatteringData, TransferMatrix, matrix_from_amplitudes
+from .transfer import ScatteringData, TransferMatrix, chain_product, matrix_from_amplitudes
 
 __all__ = [
     "DesignSpec",
@@ -212,6 +212,14 @@ def build_left_invisible(
     return _build_invisible(k0, r_right_target, winding, m, verify_tol, conjugated=True)
 
 
+def _translation(k0: float, reflection: complex, m: int, conjugated: bool) -> float:
+    """Shift a = (phi0 + pi/2 + 2 pi m)/(2 k0) that puts the block's
+    reflection phase on the target's (on -conj(target) when conjugated)."""
+    phase = -np.conj(reflection) if conjugated else reflection
+    phi0 = math.atan2(phase.imag, phase.real) % (2 * math.pi)
+    return (phi0 + math.pi / 2 + 2 * math.pi * m) / (2 * k0)
+
+
 def _build_invisible(
     k0: float,
     reflection: complex,
@@ -225,12 +233,9 @@ def _build_invisible(
     target = complex(reflection)
     if target == 0:
         raise ValueError(f"target {'right' if conjugated else 'left'} reflection must be nonzero")
-    phase_target = -np.conj(target) if conjugated else target
     n = default_winding(abs(target)) if winding is None else int(winding)
     alpha = alpha_for_reflection(abs(target), n)
-    phi0 = math.atan2(phase_target.imag, phase_target.real) % (2 * math.pi)
-    a = (phi0 + math.pi / 2 + 2 * math.pi * m) / (2 * k0)
-    profile = SmisProfile(k0, alpha, n, a, conjugated)
+    profile = SmisProfile(k0, alpha, n, _translation(k0, target, m, conjugated), conjugated)
     orientation = "left_invisible" if conjugated else "right_invisible"
     r_left, r_right = (0.0, target) if conjugated else (target, 0.0)
     residuals = _verify_block(profile, k0, ScatteringData(r_left, r_right, 1.0, k0), verify_tol)
@@ -352,20 +357,13 @@ def _place_blocks(
     blocks: list[InvisibleBlock] = []
     cursor = start
     for f in factors:
-        if abs(f[1, 0]) > 0:  # lower triangular -> right-invisible block
-            target = -complex(f[1, 0])
-            builder = build_right_invisible
-        else:
-            target = complex(f[0, 1])
-            builder = build_left_invisible
-        probe = builder(k0, target, winding, 0, verify_tol)
-        a0 = probe.profile.translation
+        lower = abs(f[1, 0]) > 0  # lower triangular -> right-invisible block
+        target = -complex(f[1, 0]) if lower else complex(f[0, 1])
+        builder = build_right_invisible if lower else build_left_invisible
+        # a block's support starts at its translation a0 + m_shift * ell
+        a0 = _translation(k0, target, 0, conjugated=not lower)
         m_shift = max(0, math.ceil((cursor + gap - a0) / ell))
-        block = (
-            probe
-            if m_shift == 0
-            else builder(k0, target, probe.profile.winding, m_shift, verify_tol)
-        )
+        block = builder(k0, target, winding, m_shift, verify_tol)
         blocks.append(block)
         cursor = block.support[1]
     if conjugate_all:
@@ -406,9 +404,7 @@ def solve_single_mode(
     target = spec.target_matrix().m
 
     if blocks:
-        achieved_alg = blocks[-1].factor.copy()
-        for b in blocks[-2::-1]:
-            achieved_alg = achieved_alg @ b.factor
+        achieved_alg = chain_product(np.stack([b.factor for b in blocks]))
     else:
         achieved_alg = np.eye(2, dtype=complex)
     alg_residual = float(np.abs(achieved_alg - target).max())

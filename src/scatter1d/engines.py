@@ -20,8 +20,11 @@ Three independent routes to the same scattering data:
   curves stay single-valued, with the left-reflection contour integral
   accumulated by the same stepper.
 
-Both ODE routes restart at every interpolation node: adaptive error control
-underestimates the error of a step that strides a kink of sampled data.
+Both ODE routes keep their own equations and read-outs but step through one
+driver, ``_integrate_pieces``: DOP853 from each cut to the next, with a hook
+at every cut for delta jumps and per-piece bookkeeping.  The cuts include
+every interpolation node: adaptive error control underestimates the error of
+a step that strides a kink of sampled data.
 """
 
 from __future__ import annotations
@@ -181,6 +184,28 @@ def _cuts(edges, nodes: np.ndarray) -> np.ndarray:
     return np.union1d(edges, nodes[(nodes > lo + gap) & (nodes < hi - gap)])
 
 
+def _integrate_pieces(rhs, cuts, y0, tol: float, at_cut=None) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate y' = rhs(x, y) with DOP853 from each cut to the next.
+
+    ``at_cut(x, y)`` returns the state to continue from at every cut, the
+    first and the last included (the value at the first cut is y0).  Returns
+    the concatenated steps (x, Y) of all pieces, Y of shape (len(y0), n);
+    empty when there is a single cut.
+    """
+    y = at_cut(cuts[0], np.asarray(y0)) if at_cut else y0
+    xs, ys = [np.empty(0)], [np.empty((len(y0), 0))]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        sol = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=tol, atol=tol * 1e-3)
+        if not sol.success:
+            raise RuntimeError(f"integration failed: {sol.message}")
+        xs.append(sol.t)
+        ys.append(sol.y)
+        y = sol.y[:, -1]
+        if at_cut:
+            y = at_cut(hi, y)
+    return np.concatenate(xs), np.concatenate(ys, axis=1)
+
+
 def _slices(cells: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Left and right edges of m equal slices in every cell."""
     left = (cells[:-1, None] + np.diff(cells)[:, None] * (np.arange(m) / m)).ravel()
@@ -275,8 +300,6 @@ def scattering_solution(
         raise ValueError("side must be 'left' or 'right'")
     a, b = p.support()
     spans, deltas = _segments(p)
-    rhs = _schrodinger_rhs(p, k)
-    rtol, atol = tol, tol * 1e-3
 
     # merged delta strengths by location (a Sum may stack terms at one point)
     delta_at: dict[float, complex] = {}
@@ -296,36 +319,22 @@ def scattering_solution(
 
     quad_smooth = np.zeros(2, dtype=complex)  # (int e^{-iky} v psi, int e^{+iky} v psi)
     quad_delta = np.zeros(2, dtype=complex)
-    xs: list[np.ndarray] = []
-    psis: list[np.ndarray] = []
-    dpsis: list[np.ndarray] = []
 
-    def apply_delta(x: float) -> None:
-        nonlocal psi, dpsi
+    def at_cut(x: float, y: np.ndarray) -> list:
+        # collect the piece's quadratures, splice a delta, restart them at zero
+        nonlocal psi, dpsi, quad_smooth
+        psi = y[0] + 1j * y[1]
+        dpsi = y[2] + 1j * y[3]
+        quad_smooth += np.array([y[4] + 1j * y[5], y[6] + 1j * y[7]])
         z = delta_at.get(x)
-        if z is None:
-            return
-        quad_delta[0] += np.exp(-1j * k * x) * z * psi
-        quad_delta[1] += np.exp(1j * k * x) * z * psi
-        dpsi = dpsi - z * psi if backward else dpsi + z * psi
+        if z is not None:
+            quad_delta[0] += np.exp(-1j * k * x) * z * psi
+            quad_delta[1] += np.exp(1j * k * x) * z * psi
+            dpsi = dpsi - z * psi if backward else dpsi + z * psi
+        return [psi.real, psi.imag, dpsi.real, dpsi.imag, 0.0, 0.0, 0.0, 0.0]
 
-    x_cur = checkpoints[0]
-    apply_delta(x_cur)
-    for x_next in checkpoints[1:]:
-        y0 = [psi.real, psi.imag, dpsi.real, dpsi.imag, 0.0, 0.0, 0.0, 0.0]
-        sol = solve_ivp(rhs, (x_cur, x_next), y0, method="DOP853", rtol=rtol, atol=atol)
-        if not sol.success:
-            raise RuntimeError(f"integration failed: {sol.message}")
-        psi = sol.y[0, -1] + 1j * sol.y[1, -1]
-        dpsi = sol.y[2, -1] + 1j * sol.y[3, -1]
-        quad_smooth += np.array(
-            [sol.y[4, -1] + 1j * sol.y[5, -1], sol.y[6, -1] + 1j * sol.y[7, -1]]
-        )
-        xs.append(sol.t)
-        psis.append(sol.y[0] + 1j * sol.y[1])
-        dpsis.append(sol.y[2] + 1j * sol.y[3])
-        x_cur = x_next
-        apply_delta(x_cur)
+    y0 = [psi.real, psi.imag, dpsi.real, dpsi.imag, 0.0, 0.0, 0.0, 0.0]
+    x_all, y_all = _integrate_pieces(_schrodinger_rhs(p, k), checkpoints, y0, tol, at_cut)
 
     if backward:
         quad_smooth = -quad_smooth  # traversal accumulated int_b^a
@@ -345,12 +354,11 @@ def scattering_solution(
             coeffs = dict(a_minus=0.0 + 0j, b_minus=1.0 + 0j, a_plus=a_p, b_plus=b_p)
             r, t_amp = a_p / b_p, 1.0 / b_p
 
-    if xs:
-        x_all = np.concatenate(xs)
-        psi_all = np.concatenate(psis)
-        dpsi_all = np.concatenate(dpsis)
+    if x_all.size:
         order = np.argsort(x_all)
-        x_all, psi_all, dpsi_all = x_all[order], psi_all[order], dpsi_all[order]
+        x_all = x_all[order]
+        psi_all = (y_all[0] + 1j * y_all[1])[order]
+        dpsi_all = (y_all[2] + 1j * y_all[3])[order]
     else:
         x_all = np.array([a if backward else b])
         psi_all = np.array([psi])
@@ -461,23 +469,10 @@ def s_curve_solve(
     y0 = [z_minus.real, z_minus.imag, (-2j * k * z_minus).real, (-2j * k * z_minus).imag, 0.0, 0.0]
     edges = [a, *(x for x in p.internal_boundaries() if a < x < b), b]
     cuts = _cuts(edges, p.interpolation_nodes()).tolist()
-    xs, ss, sps = [], [], []
-    y = y0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        sol = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=tol, atol=tol * 1e-3)
-        if not sol.success:
-            raise RuntimeError(f"S-curve integration failed: {sol.message}")
-        xs.append(sol.t)
-        ss.append(sol.y[0] + 1j * sol.y[1])
-        sps.append(sol.y[2] + 1j * sol.y[3])
-        y = [float(sol.y[j, -1]) for j in range(6)]
-    r_left = y[4] + 1j * y[5]
-    s_end = y[0] + 1j * y[1]
-    sp_end = y[2] + 1j * y[3]
-
-    x_all = np.concatenate(xs)
-    s_all = np.concatenate(ss)
-    sp_all = np.concatenate(sps)
+    x_all, y_all = _integrate_pieces(rhs, cuts, y0, tol)
+    s_end, sp_end, r_left = (y_all[j, -1] + 1j * y_all[j + 1, -1] for j in (0, 2, 4))
+    s_all = y_all[0] + 1j * y_all[1]
+    sp_all = y_all[2] + 1j * y_all[3]
     z_all = np.exp(-2j * k * x_all)
     s_prime_z = sp_all / (-2j * k * z_all)
     min_s = float(np.abs(s_all).min())

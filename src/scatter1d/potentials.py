@@ -235,9 +235,6 @@ class Potential:
 
     # -- misc ---------------------------------------------------------------
 
-    def has_deltas(self) -> bool:
-        return bool(self.delta_terms())
-
     def interpolation_scale(self) -> float | None:
         """Smallest spacing of the interpolation nodes, or None if there are none."""
         nodes = self.interpolation_nodes()

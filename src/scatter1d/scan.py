@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,10 +80,12 @@ def default_scan_points(p: Potential, k_min: float, k_max: float, density: int =
     """Grid size from the spec density: `density` points per unit of k*L.
 
     Real zeros of the analytic entries are isolated but their spacing is not
-    known a priori; this heuristic respects the support length.
+    known a priori; this heuristic respects the support length.  A support
+    shorter than half a wavelength at k_max (a delta comb has length 0)
+    counts as that long, pi/k_max, so the grid never collapses to 2 points.
     """
     a, b = p.support()
-    span = max(b - a, 1e-12)
+    span = max(b - a, math.pi / k_max)
     return max(2, math.ceil(density * (k_max - k_min) * span / (2 * math.pi)))
 
 
@@ -140,7 +141,6 @@ def scan(
     tol: float = 1e-9,
     zero_tol: float = DEFAULT_ZERO_TOL,
     refine: bool = True,
-    threads: int | None = None,
 ) -> ScanResult:
     """Sweep [k_min, k_max], recording M(k), amplitudes and classifications.
 
@@ -166,13 +166,7 @@ def scan(
             data = None
         return ScanPoint(float(k), m, data, cls)
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pts = list(pool.map(one, grid))
-    else:
-        pts = [one(k) for k in grid]
-
-    result = ScanResult(grid, pts, solver=solver)
+    result = ScanResult(grid, [one(k) for k in grid], solver=solver)
     if refine:
         result.singular_points = _refine_from_grid(p, result, solver, tol, zero_tol)
     return result

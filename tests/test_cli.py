@@ -39,3 +39,14 @@ def test_design_output_verifies(tmp_path):
     verify = run_cli("verify", "--spec", "design.json", "--k", "1.0", *target, cwd=tmp_path)
     assert verify.returncode == 0, verify.stderr
     assert json.loads(verify.stdout)["ok"] is True
+
+
+def test_verify_exact_without_closed_form_is_a_usage_error(tmp_path):
+    spec = tmp_path / "grating.json"
+    s.save_potential(s.ExpGrating(0.3, 1, 2.0), spec)
+    run = run_cli("verify", "--spec", str(spec), "--k", "1.0", "--solver", "exact",
+                  "--r-left", "0,0", "--r-right", "0,0", "--t", "1,0", cwd=tmp_path)
+    assert run.returncode == 2
+    assert run.stderr.startswith(b"error: ")
+    assert b"Traceback" not in run.stderr
+    assert run.stdout == b""
