@@ -237,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--spec", required=True)
     sp.add_argument("--k-min", type=float, required=True)
     sp.add_argument("--k-max", type=float, required=True)
-    sp.add_argument("--points", type=int, help="grid size (default: 512 per unit k*L)")
+    sp.add_argument("--points", type=int,
+                    help="grid size (default: 512 per unit of (k_max - k_min)*L/(2 pi))")
     sp.add_argument("--out-csv", required=True)
     sp.add_argument("--summary-json", help="summary path (default: stdout)")
     common_solver(sp)

@@ -184,7 +184,7 @@ def _cuts(edges, nodes: np.ndarray) -> np.ndarray:
     return np.union1d(edges, nodes[(nodes > lo + gap) & (nodes < hi - gap)])
 
 
-def _integrate_pieces(rhs, cuts, y0, tol: float, at_cut=None) -> tuple[np.ndarray, np.ndarray]:
+def _integrate_pieces(rhs, cuts, y0, tol: float, at_cut) -> tuple[np.ndarray, np.ndarray]:
     """Integrate y' = rhs(x, y) with DOP853 from each cut to the next.
 
     ``at_cut(x, y)`` returns the state to continue from at every cut, the
@@ -192,7 +192,7 @@ def _integrate_pieces(rhs, cuts, y0, tol: float, at_cut=None) -> tuple[np.ndarra
     the concatenated steps (x, Y) of all pieces, Y of shape (len(y0), n);
     empty when there is a single cut.
     """
-    y = at_cut(cuts[0], np.asarray(y0)) if at_cut else y0
+    y = at_cut(cuts[0], np.asarray(y0))
     xs, ys = [np.empty(0)], [np.empty((len(y0), 0))]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         sol = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=tol, atol=tol * 1e-3)
@@ -200,9 +200,7 @@ def _integrate_pieces(rhs, cuts, y0, tol: float, at_cut=None) -> tuple[np.ndarra
             raise RuntimeError(f"integration failed: {sol.message}")
         xs.append(sol.t)
         ys.append(sol.y)
-        y = sol.y[:, -1]
-        if at_cut:
-            y = at_cut(hi, y)
+        y = at_cut(hi, sol.y[:, -1])
     return np.concatenate(xs), np.concatenate(ys, axis=1)
 
 
@@ -469,7 +467,7 @@ def s_curve_solve(
     y0 = [z_minus.real, z_minus.imag, (-2j * k * z_minus).real, (-2j * k * z_minus).imag, 0.0, 0.0]
     edges = [a, *(x for x in p.internal_boundaries() if a < x < b), b]
     cuts = _cuts(edges, p.interpolation_nodes()).tolist()
-    x_all, y_all = _integrate_pieces(rhs, cuts, y0, tol)
+    x_all, y_all = _integrate_pieces(rhs, cuts, y0, tol, lambda x, y: y)
     s_end, sp_end, r_left = (y_all[j, -1] + 1j * y_all[j + 1, -1] for j in (0, 2, 4))
     s_all = y_all[0] + 1j * y_all[1]
     sp_all = y_all[2] + 1j * y_all[3]

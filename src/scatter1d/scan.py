@@ -80,12 +80,10 @@ def default_scan_points(p: Potential, k_min: float, k_max: float, density: int =
     """Grid size from the spec density: `density` points per unit of k*L.
 
     Real zeros of the analytic entries are isolated but their spacing is not
-    known a priori; this heuristic respects the support length.  A support
-    shorter than half a wavelength at k_max (a delta comb has length 0)
-    counts as that long, pi/k_max, so the grid never collapses to 2 points.
+    known a priori; this heuristic respects the support length.
     """
     a, b = p.support()
-    span = max(b - a, math.pi / k_max)
+    span = max(b - a, 1e-12)
     return max(2, math.ceil(density * (k_max - k_min) * span / (2 * math.pi)))
 
 

