@@ -203,7 +203,7 @@ def exp_grating_reference(
 
         R_left  = 0                          (suppressed side for n > 0)
         R_right = -(i n / m) [ delta_{mn} zhat
-                               + (n/(pi m)) (delta_{m,2n} - delta_{mn}) zhat^2 ]
+                               + (1/(pi m)) (delta_{m,2n} - delta_{mn}) zhat^2 ]
         T       = 1 + i zhat^2 n^2 delta_{mn} / (2 pi m^2 (m + n))
 
     Away from m in {n, 2n} every entry is invisible at this order.
@@ -219,6 +219,6 @@ def exp_grating_reference(
     k = m * np.pi / length
     d_mn = 1.0 if m == n else 0.0
     d_m2n = 1.0 if m == 2 * n else 0.0
-    r_right = -(1j * n / m) * (d_mn * zhat + (n / (np.pi * m)) * (d_m2n - d_mn) * zhat**2)
+    r_right = -(1j * n / m) * (d_mn * zhat + (d_m2n - d_mn) * zhat**2 / (np.pi * m))
     t = 1.0 + 1j * zhat**2 * n**2 * d_mn / (2 * np.pi * m**2 * (m + n))
     return ScatteringData(0.0, r_right, t, k)

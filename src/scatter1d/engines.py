@@ -10,7 +10,9 @@ Three independent routes to the same scattering data:
   (4 M_2n - M_n)/3 makes it 4th order.  The error is estimated from
   successive Richardson values, and sampled data are sliced on whole
   interpolation cells, so no slice straddles a kink and no two slice counts
-  can agree by aliasing.
+  can agree by aliasing.  k is a batch axis: an array of k is solved in
+  array passes that share the slicing and the values of v among the k at
+  the same slice count, each k keeping its own start count and acceptance.
 * ``scattering_solution``/``ls_amplitudes`` integrate the stationary wave
   equation psi'' = (v - k^2) psi with outgoing boundary data and read the
   amplitudes from the asymptotics and from the reflection/transmission
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .exact import barrier_slice_matrices, delta_matrix
+from .exact import barrier_slice_matrices, delta_matrices
 from .potentials import Potential
 from .transfer import (
     IDENTITY,
@@ -134,8 +136,8 @@ def _span_is_active(p: Potential, lo: float, hi: float) -> bool:
 
 
 def transfer_matrix_dynamical(
-    p: Potential, k: float, tol: float = 1e-8, max_slices: int = 2**20
-) -> TransferMatrix:
+    p: Potential, k, tol: float = 1e-8, max_slices: int = 2**20
+) -> TransferMatrix | np.ndarray:
     """Transfer matrix by piecewise-constant slicing with Richardson extrapolation.
 
     Each slice is advanced with the exact barrier propagator evaluated at the
@@ -148,29 +150,37 @@ def transfer_matrix_dynamical(
     edge), since a kink inside a slice breaks the even error expansion that
     Richardson relies on.  Delta terms are spliced in via their exact
     matrices.  det M = 1 holds to within tol, not exactly.
+
+    k is a batch axis: a scalar k gives a TransferMatrix, an array of k the
+    stack of matrices, shape k.shape + (2, 2).  Every k keeps its own start
+    count and its own acceptance level, so each matrix is the one a batch of
+    one would give.
     """
-    if k <= 0:
+    ks = np.atleast_1d(np.asarray(k, dtype=float)).ravel()
+    if np.any(ks <= 0):
         raise ValueError("k must be positive")
     spans, deltas = _segments(p)
     active = [(lo, hi) for lo, hi in spans if _span_is_active(p, lo, hi)]
     total_len = sum(hi - lo for lo, hi in active)
-    n_pieces = len(active) + len(deltas)
-    if n_pieces == 0:
-        return TransferMatrix(IDENTITY, k)
-    nodes = p.interpolation_nodes()
-    seg_tol = tol / max(1, len(active))
-    n_start_total = max(64, math.ceil(8 * k * total_len / math.pi)) if total_len else 0
-
     pieces: list[tuple[float, np.ndarray]] = []
     for z, a in deltas:
-        pieces.append((a, delta_matrix(z, a, k).m))
+        pieces.append((a, delta_matrices(z, a, ks)))
+    if active:
+        nodes = p.interpolation_nodes()
+        seg_tol = tol / len(active)
+        n_start_total = np.maximum(64, np.ceil(8 * ks * total_len / math.pi))
     for lo, hi in active:
-        share = max(16, math.ceil(n_start_total * (hi - lo) / total_len))
+        share = np.maximum(16, np.ceil(n_start_total * (hi - lo) / total_len)).astype(int)
         cells = _cuts([lo, hi], nodes)
-        pieces.append((lo, _refine_span(p, cells, k, seg_tol, share, max_slices)))
+        pieces.append((lo, _refine_span(p, cells, ks, seg_tol, share, max_slices)))
     pieces.sort(key=lambda item: item[0])
-    stack = np.stack([m for _, m in pieces])
-    return TransferMatrix(chain_product(stack), k)
+    if pieces:
+        out = chain_product(np.stack([m for _, m in pieces], axis=-3))
+    else:
+        out = np.broadcast_to(IDENTITY, ks.shape + (2, 2)).copy()
+    if np.ndim(k) == 0:
+        return TransferMatrix(out[0], k)
+    return out.reshape(np.shape(k) + (2, 2))
 
 
 def _cuts(edges, nodes: np.ndarray) -> np.ndarray:
@@ -210,12 +220,32 @@ def _slices(cells: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return left, np.append(left[1:], cells[-1])
 
 
+PASS_SLICES = 2**12   # slice matrices held by one pass over a batch of k
+
+
 def _refine_span(
-    p: Potential, cells: np.ndarray, k: float, tol: float, n_start: int, cap: int
+    p: Potential, cells: np.ndarray, k: np.ndarray, tol: float, n_start: np.ndarray, cap: int
 ) -> np.ndarray:
+    """Richardson-refined matrices (K, 2, 2) of one span for a batch of k,
+    each k from its own start count n_start."""
+    out = np.empty(k.shape + (2, 2), dtype=complex)
+    for start in np.unique(n_start):
+        group = np.flatnonzero(n_start == start)
+        out[group] = _refine_group(p, cells, k[group], tol, int(start), cap)
+    return out
+
+
+def _refine_group(
+    p: Potential, cells: np.ndarray, k: np.ndarray, tol: float, n_start: int, cap: int
+) -> np.ndarray:
+    """``_refine_span`` for k that share a start count: every level slices
+    once and evaluates v once for all of them, and a k leaves the batch
+    once its Richardson values agree."""
     lo, hi = float(cells[0]), float(cells[-1])
     n_cells = cells.size - 1
     m = -(-n_start // n_cells)
+    out = np.empty(k.shape + (2, 2), dtype=complex)
+    todo = np.arange(k.size)
     prev_prod = prev_rich = None
     while n_cells * m <= cap:
         left, right = _slices(cells, m)
@@ -224,13 +254,21 @@ def _refine_span(
             # flat at the midpoints of two levels: one exact barrier covers the span
             l2, r2 = _slices(cells, 2 * m)
             if np.all(p.evaluate(0.5 * (l2 + r2)) == v[0]):
-                return barrier_slice_matrices(v[:1], [lo], [hi], k)[0]
-        prod = chain_product(barrier_slice_matrices(v, left, right, k))
+                return barrier_slice_matrices(v[:1], [lo], [hi], k[:, None])[:, 0]
+        per_pass = max(1, PASS_SLICES // v.size)
+        prod = np.concatenate([
+            chain_product(barrier_slice_matrices(v, left, right, k[todo[j:j + per_pass], None]))
+            for j in range(0, todo.size, per_pass)
+        ])
         if prev_prod is not None:
             rich = (4 * prod - prev_prod) / 3
-            scale = max(1.0, float(np.linalg.norm(rich)))
-            if prev_rich is not None and np.abs(rich - prev_rich).max() <= tol * scale:
-                return rich
+            if prev_rich is not None:
+                scale = np.maximum(1.0, np.linalg.norm(rich, axis=(-2, -1)))
+                done = np.abs(rich - prev_rich).max(axis=(-2, -1)) <= tol * scale
+                out[todo[done]] = rich[done]
+                todo, prod, rich = todo[~done], prod[~done], rich[~done]
+                if not todo.size:
+                    return out
             prev_rich = rich
         prev_prod = prod
         m *= 2

@@ -28,14 +28,14 @@ from .potentials import (
 from .transfer import (
     IDENTITY,
     TransferMatrix,
-    compose_chain,
-    propagation_matrix,
-    time_reverse_matrix,
-    translate_matrix,
+    chain_product,
+    time_reverse_stack,
+    translate_stack,
 )
 
 __all__ = [
     "delta_matrix",
+    "delta_matrices",
     "multi_delta_matrix",
     "barrier_matrix",
     "piecewise_matrix",
@@ -62,36 +62,31 @@ def delta_matrix(strength: complex, location: float, k: float) -> TransferMatrix
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    z = complex(strength)
-    ph = np.exp(2j * k * location)
-    m = np.array(
-        [[2 * k - 1j * z, -1j * z / ph], [1j * z * ph, 2 * k + 1j * z]], dtype=complex
-    ) / (2 * k)
-    return TransferMatrix(m, k)
+    return TransferMatrix(delta_matrices(strength, location, k), k)
+
+
+def delta_matrices(strengths, locations, k) -> np.ndarray:
+    """``delta_matrix`` with strengths, locations and k broadcast together;
+    returns the stack of shape (..., 2, 2)."""
+    z = np.asarray(strengths, dtype=complex)
+    k = np.asarray(k, dtype=float)
+    ph = np.exp(2j * k * np.asarray(locations, dtype=float))
+    out = np.empty(np.broadcast_shapes(z.shape, ph.shape) + (2, 2), dtype=complex)
+    out[..., 0, 0] = (2 * k - 1j * z) / (2 * k)
+    out[..., 0, 1] = -1j * z / ph / (2 * k)
+    out[..., 1, 0] = 1j * z * ph / (2 * k)
+    out[..., 1, 1] = (2 * k + 1j * z) / (2 * k)
+    return out
 
 
 def multi_delta_matrix(comb: DeltaComb, k: float) -> TransferMatrix:
     """Composition of single-delta matrices in spatial order (one per term)."""
-    return compose_chain([delta_matrix(z, a, k) for z, a in comb.terms])
+    return exact_matrix(comb, k)
 
 
-def _stable_sinc(w: np.ndarray) -> np.ndarray:
-    """sin(w)/w for complex w, 4-term Taylor near 0 to avoid cancellation."""
-    w = np.asarray(w, dtype=complex)
-    out = np.empty_like(w)
-    small = np.abs(w) < 1e-6
-    ws = w[small]
-    if ws.size:
-        w2 = ws * ws
-        out[small] = 1.0 - w2 / 6.0 + w2 * w2 / 120.0 - w2 * w2 * w2 / 5040.0
-    wb = w[~small]
-    if wb.size:
-        out[~small] = np.sin(wb) / wb
-    return out
-
-
-def barrier_slice_matrices(heights, left_edges, right_edges, k: float) -> np.ndarray:
-    """Stack of exact rectangular-barrier transfer matrices (vectorized).
+def barrier_slice_matrices(heights, left_edges, right_edges, k) -> np.ndarray:
+    """Stack of exact rectangular-barrier transfer matrices, shape (..., 2, 2)
+    with heights, edges and k broadcast together.
 
     For height z on [a_-, a_+] with L = a_+ - a_-, zh = z/2k^2,
     nn = sqrt(1 - z/k^2), c = cos(kL nn), s = sin(kL nn)/nn:
@@ -104,19 +99,32 @@ def barrier_slice_matrices(heights, left_edges, right_edges, k: float) -> np.nda
     z = np.asarray(heights, dtype=complex)
     lo = np.asarray(left_edges, dtype=float)
     hi = np.asarray(right_edges, dtype=float)
-    h = hi - lo
+    k = np.asarray(k, dtype=float)
+    kh = k * (hi - lo)
+    kc = k * (lo + hi)
     zh = z / (2 * k * k)
-    nn = np.sqrt(1.0 - z / (k * k))
-    w = k * h * nn
-    c = np.cos(w)
-    s = k * h * _stable_sinc(w)  # = sin(k h nn)/nn, finite at nn -> 0
-    phase_l = np.exp(-1j * k * h)
-    phase_c = np.exp(-1j * k * (lo + hi))
-    out = np.empty(z.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = phase_l * (c - 1j * (zh - 1.0) * s)
-    out[..., 0, 1] = -1j * phase_c * zh * s
-    out[..., 1, 0] = 1j * zh * s / phase_c
-    out[..., 1, 1] = (c + 1j * (zh - 1.0) * s) / phase_l
+    w = kh * np.sqrt(1.0 - z / (k * k))
+    # cos w and sin w from real sines, cosines and hyperbolic functions of the
+    # real and imaginary parts: several times cheaper than complex cos and sin
+    sin_re, cos_re = np.sin(w.real), np.cos(w.real)
+    sinh_im, cosh_im = np.sinh(w.imag), np.cosh(w.imag)
+    c = cos_re * cosh_im - 1j * (sin_re * sinh_im)
+    # s = kh sin(w)/w, finite at nn -> 0: 4-term Taylor for the sinc near w = 0
+    small = np.abs(w) < 1e-6
+    s = (sin_re * cosh_im + 1j * (cos_re * sinh_im)) / np.where(small, 1.0, w)
+    if small.any():
+        w2 = w[small] ** 2
+        s[small] = 1.0 - w2 / 6.0 + w2 * w2 / 120.0 - w2 * w2 * w2 / 5040.0
+    s *= kh
+    phase_l = np.cos(kh) - 1j * np.sin(kh)   # e^{-ikL}
+    phase_c = np.cos(kc) - 1j * np.sin(kc)   # e^{-ik(a_+ + a_-)}
+    t = 1j * (zh - 1.0) * s
+    izs = 1j * zh * s
+    out = np.empty(w.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = phase_l * (c - t)
+    out[..., 0, 1] = -phase_c * izs
+    out[..., 1, 0] = izs / phase_c
+    out[..., 1, 1] = (c + t) / phase_l
     return out
 
 
@@ -134,11 +142,7 @@ def barrier_matrix(height: complex, a_minus: float, a_plus: float, k: float) -> 
 
 def piecewise_matrix(p: PiecewiseConstant, k: float) -> TransferMatrix:
     """Cell-by-cell composition of exact barrier matrices, left to right."""
-    pieces = [
-        barrier_matrix(v, lo, hi, k)
-        for lo, hi, v in zip(p.breakpoints[:-1], p.breakpoints[1:], p.values)
-    ]
-    return compose_chain(pieces)
+    return exact_matrix(p, k)
 
 
 # ---------------------------------------------------------------------------
@@ -158,34 +162,35 @@ class UnimodularPower:
     value: np.ndarray  # L^n
 
 
-def _u_pair(trace: complex, n: int) -> tuple[complex, complex, complex]:
-    """(gamma, U_n, U_{n+1}) for a unit-det matrix with the given trace.
+def _u_pair(trace, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gamma, U_n, U_{n+1}) for unit-det matrices with the given traces.
 
     Degenerate traces +-2 use the Jordan-branch values; otherwise the ratio
     sin(m gamma)/sin(gamma) is evaluated directly with the real part of
     m*gamma reduced mod 2pi (recurrences amplify error for complex gamma).
     """
-    half = trace / 2.0
-    if abs(half - 1.0) < JORDAN_TOL:  # gamma = 0
-        return 0.0, complex(n - 1), complex(n)
-    if abs(half + 1.0) < JORDAN_TOL:  # gamma = pi
-        sign_n = -1.0 if n % 2 else 1.0
-        return np.pi, sign_n * (n - 1), -sign_n * n
-    gamma = complex(np.arccos(complex(half)))
-
-    def ratio(m: int) -> complex:
-        # sin(m*gamma)/sin(gamma)
-        if abs(gamma) < 1e-6:
-            mg2 = (m * gamma) ** 2
-            g2 = gamma * gamma
-            num = 1.0 - mg2 / 6.0 + mg2 * mg2 / 120.0
-            den = 1.0 - g2 / 6.0 + g2 * g2 / 120.0
-            return m * num / den
-        gr, gi = gamma.real, gamma.imag
-        arg = complex(math.remainder(m * gr, 2.0 * math.pi), m * gi)
-        return complex(np.sin(arg)) / complex(np.sin(gamma))
-
-    return gamma, ratio(n - 1), ratio(n)
+    half = np.asarray(trace, dtype=complex) / 2.0
+    gamma = np.arccos(half)
+    small = np.abs(gamma) < 1e-6
+    m = np.array([n - 1, n]).reshape((2,) + (1,) * gamma.ndim)
+    # sin(m gamma)/sin(gamma) for m = n - 1 and n, the real part of m gamma
+    # reduced exactly to [-pi, pi] (the IEEE remainder, as math.remainder)
+    re = np.fmod(m * gamma.real, 2.0 * math.pi)
+    re -= np.where(np.abs(re) > math.pi, np.copysign(2.0 * math.pi, re), 0.0)
+    u = np.sin(re + 1j * (m * gamma.imag)) / np.where(small, 1.0, np.sin(gamma))
+    if small.any():
+        ms = np.array([[n - 1], [n]])
+        g2, mg2 = gamma[small] ** 2, (ms * gamma[small]) ** 2
+        u[:, small] = ms * (1.0 - mg2 / 6.0 + mg2 * mg2 / 120.0) / (1.0 - g2 / 6.0 + g2 * g2 / 120.0)
+    at_zero = np.abs(half - 1.0) < JORDAN_TOL   # gamma = 0
+    at_pi = np.abs(half + 1.0) < JORDAN_TOL     # gamma = pi
+    if at_zero.any() or at_pi.any():
+        sign = np.where(at_pi, -1.0 if n % 2 else 1.0, 1.0)
+        gamma = np.where(at_zero, 0.0, np.where(at_pi, np.pi, gamma))
+        jordan = at_zero | at_pi
+        u[0] = np.where(jordan, sign * (n - 1), u[0])
+        u[1] = np.where(jordan, np.where(at_pi, -sign * n, n), u[1])
+    return gamma, u[0], u[1]
 
 
 def unimodular_power(base, n: int) -> UnimodularPower:
@@ -199,7 +204,7 @@ def unimodular_power(base, n: int) -> UnimodularPower:
     det = L[0, 0] * L[1, 1] - L[0, 1] * L[1, 0]
     if abs(det - 1.0) > 1e-8:
         raise ValueError(f"matrix is not unimodular: |det - 1| = {abs(det - 1.0):.3e}")
-    gamma, u_n, u_n1 = _u_pair(L[0, 0] + L[1, 1], n)
+    gamma, u_n, u_n1 = (complex(x) for x in _u_pair(L[0, 0] + L[1, 1], n))
     value = u_n1 * L - u_n * IDENTITY
     return UnimodularPower(L, n, gamma, u_n, u_n1, value)
 
@@ -219,15 +224,25 @@ def locally_periodic_matrix(
     k = cell_matrix.k if k is None else k
     if k != cell_matrix.k:
         raise ValueError("cell matrix wavenumber disagrees with k")
+    return TransferMatrix(_repeat(cell_matrix.m, k, ell, n), k)
+
+
+def _repeat(m1: np.ndarray, k, ell: float, n: int) -> np.ndarray:
+    """``locally_periodic_matrix`` on a stack of cell matrices (..., 2, 2)
+    with wavenumbers k of shape (...)."""
     if n == 1:
-        return cell_matrix
-    m1 = cell_matrix.m
-    L = m1 @ propagation_matrix(k, ell)
-    gamma, u_n, u_n1 = _u_pair(L[0, 0] + L[1, 1], n)
-    out = u_n1 * (propagation_matrix(k, (1 - n) * ell) @ m1) - u_n * propagation_matrix(
-        k, -n * ell
-    )
-    return TransferMatrix(out, k)
+        return m1
+    k = np.asarray(k, dtype=float)
+    # L = M1 T(ell), T(x) = diag(e^{ikx}, e^{-ikx})
+    trace = m1[..., 0, 0] * np.exp(1j * k * ell) + m1[..., 1, 1] * np.exp(-1j * k * ell)
+    _, u_n, u_n1 = _u_pair(trace, n)
+    up, down = np.exp(1j * k * ((1 - n) * ell)), np.exp(-1j * k * ((1 - n) * ell))
+    out = np.empty(np.shape(m1), dtype=complex)
+    out[..., 0, 0] = u_n1 * (up * m1[..., 0, 0]) - u_n * np.exp(-1j * k * (n * ell))
+    out[..., 0, 1] = u_n1 * (up * m1[..., 0, 1])
+    out[..., 1, 0] = u_n1 * (down * m1[..., 1, 0])
+    out[..., 1, 1] = u_n1 * (down * m1[..., 1, 1]) - u_n * np.exp(1j * k * (n * ell))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -235,27 +250,34 @@ def locally_periodic_matrix(
 # ---------------------------------------------------------------------------
 
 
-def structural_matrix(p: Potential, k: float, leaf: Callable | None) -> TransferMatrix:
-    """Transfer matrix by one walk over the potential tree: closed forms at
+def structural_matrix(p: Potential, k, leaf: Callable | None) -> np.ndarray:
+    """Transfer matrices by one walk over the potential tree: closed forms at
     delta combs and piecewise stacks; the translation, time-reversal,
     disjoint-sum and Chebyshev repeat rules (for any cell) above them.  A leaf
     with no closed form, an overlapping sum included, goes to ``leaf(p)``,
     or raises NotExactlySolvable when ``leaf`` is None.
+
+    k is a batch axis: an array of wavenumbers gives the stack of matrices,
+    shape k.shape + (2, 2), and ``leaf(p)`` must return the same shape.
     """
+    k = np.asarray(k, dtype=float)
     if isinstance(p, DeltaComb):
-        return multi_delta_matrix(p, k)
+        z, a = zip(*p.terms)
+        return chain_product(delta_matrices(z, a, k[..., None]))
     if isinstance(p, PiecewiseConstant):
-        return piecewise_matrix(p, k)
+        bp = p.breakpoints
+        return chain_product(barrier_slice_matrices(p.values, bp[:-1], bp[1:], k[..., None]))
     if isinstance(p, Translated):
-        return translate_matrix(structural_matrix(p.inner, k, leaf), p.shift)
+        return translate_stack(structural_matrix(p.inner, k, leaf), k, p.shift)
     if isinstance(p, TimeReversed):
-        return time_reverse_matrix(structural_matrix(p.inner, k, leaf))
+        return time_reverse_stack(structural_matrix(p.inner, k, leaf))
     if isinstance(p, LocallyPeriodic):
-        return locally_periodic_matrix(structural_matrix(p.cell, k, leaf), p.period, p.copies, k)
+        return _repeat(structural_matrix(p.cell, k, leaf), k, p.period, p.copies)
     if isinstance(p, Sum) and not p.overlapping:
         if not p.parts:
-            return TransferMatrix(IDENTITY, k)
-        return compose_chain([structural_matrix(q, k, leaf) for q in p.spatially_sorted()])
+            return np.broadcast_to(IDENTITY, k.shape + (2, 2)).copy()
+        parts = [structural_matrix(q, k, leaf) for q in p.spatially_sorted()]
+        return chain_product(np.stack(parts, axis=-3))
     if leaf is not None:
         return leaf(p)
     if isinstance(p, Sum):
@@ -283,4 +305,6 @@ def exact_matrix(p: Potential, k: float) -> TransferMatrix:
 
     Raises NotExactlySolvable at the first leaf with no closed form.
     """
-    return structural_matrix(p, k, None)
+    if k <= 0:
+        raise ValueError("k must be positive")
+    return TransferMatrix(structural_matrix(p, k, None), k)

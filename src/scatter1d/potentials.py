@@ -235,11 +235,6 @@ class Potential:
 
     # -- misc ---------------------------------------------------------------
 
-    def interpolation_scale(self) -> float | None:
-        """Smallest spacing of the interpolation nodes, or None if there are none."""
-        nodes = self.interpolation_nodes()
-        return float(np.diff(nodes).min()) if nodes.size > 1 else None
-
     def interpolation_nodes(self) -> np.ndarray:
         """Sorted grid nodes where the interpolated smooth part has kinks.
 

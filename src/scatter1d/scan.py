@@ -4,6 +4,10 @@ Zeros of M22 mark spectral singularities (lasing), zeros of M11 their
 time-reversal (coherent perfect absorption), zeros of the off-diagonal
 entries one-sided reflectionlessness.  Zeros are located by minimizing
 |entry|^2 over real k only; complex-k resonance tracking is out of scope.
+
+k is a batch axis of ``matrix_at``: ``scan`` solves its whole grid in one
+call, and a grid on which some k fails is solved again point by point, so
+that each point records its own error.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .engines import scattering_solution, transfer_matrix_dynamical
-from .exact import exact_matrix, numeric_leaf_copies, structural_matrix
+from .exact import numeric_leaf_copies, structural_matrix
 from .potentials import Potential, TimeReversed
 from .transfer import (
     Classification,
@@ -42,6 +46,7 @@ __all__ = [
 ]
 
 ENTRY_NAMES = ("M11", "M12", "M21", "M22")
+ENTRY_INDEX = {"M11": (0, 0), "M12": (0, 1), "M21": (1, 0), "M22": (1, 1)}
 DEFAULT_ZERO_TOL = 1e-8
 REFINE_TRIGGER = 1e-2  # refine local minima with |entry| below this times ||M||
 
@@ -59,21 +64,33 @@ class NoZeroFound(RuntimeError):
         self.threshold = threshold
 
 
-def matrix_at(p: Potential, k: float, solver: str = "auto", tol: float = 1e-9) -> TransferMatrix:
+def matrix_at(
+    p: Potential, k, solver: str = "auto", tol: float = 1e-9
+) -> TransferMatrix | np.ndarray:
     """Transfer matrix via the requested solver ('exact', 'dynamical', 'auto').
 
     'auto' is ``structural_matrix`` with the dynamical engine at the leaves
     that have no closed form, each at tol over the number of such leaf copies
     (a cell repeated n times is solved once, at tol/n).
+
+    k is a batch axis: a scalar k gives a TransferMatrix, an array of k the
+    stack of matrices, shape k.shape + (2, 2), from one pass of the solver.
     """
-    if solver == "exact":
-        return exact_matrix(p, k)
+    if solver not in ("exact", "dynamical", "auto"):
+        raise ValueError(f"unknown solver {solver!r}")
+    ks = np.atleast_1d(np.asarray(k, dtype=float)).ravel()
+    if np.any(ks <= 0):
+        raise ValueError("k must be positive")
     if solver == "dynamical":
-        return transfer_matrix_dynamical(p, k, tol)
-    if solver == "auto":
+        m = transfer_matrix_dynamical(p, ks, tol)
+    elif solver == "exact":
+        m = structural_matrix(p, ks, None)
+    else:
         leaf_tol = tol / max(1, numeric_leaf_copies(p))
-        return structural_matrix(p, k, lambda q: transfer_matrix_dynamical(q, k, leaf_tol))
-    raise ValueError(f"unknown solver {solver!r}")
+        m = structural_matrix(p, ks, lambda q: transfer_matrix_dynamical(q, ks, leaf_tol))
+    if np.ndim(k) == 0:
+        return TransferMatrix(m[0], k)
+    return m.reshape(np.shape(k) + (2, 2))
 
 
 def default_scan_points(p: Potential, k_min: float, k_max: float, density: int = 512) -> int:
@@ -151,39 +168,45 @@ def scan(
     if points < 2:
         raise ValueError("need at least two grid points")
     grid = np.linspace(k_min, k_max, points)
-
-    def one(k: float) -> ScanPoint:
-        try:
-            m = matrix_at(p, float(k), solver, tol)
-        except Exception as exc:  # recorded, scan continues
-            return ScanPoint(float(k), None, None, None, f"{type(exc).__name__}: {exc}")
-        cls = classify(m, zero_tol)
-        try:
-            data = m.amplitudes()
-        except SpectralSingularityError:
-            data = None
-        return ScanPoint(float(k), m, data, cls)
-
-    result = ScanResult(grid, [one(k) for k in grid], solver=solver)
+    try:
+        mats = matrix_at(p, grid, solver, tol)
+        pts = [_point(k, TransferMatrix(m, k), zero_tol) for k, m in zip(grid, mats)]
+    except Exception:  # some k failed: each point records its own error alone
+        mats = np.full((points, 2, 2), np.nan, dtype=complex)
+        pts = []
+        for i, k in enumerate(grid):
+            try:
+                m = matrix_at(p, float(k), solver, tol)
+            except Exception as exc:  # recorded, scan continues
+                pts.append(ScanPoint(float(k), None, None, None, f"{type(exc).__name__}: {exc}"))
+                continue
+            mats[i] = m.m
+            pts.append(_point(k, m, zero_tol))
+    result = ScanResult(grid, pts, solver=solver)
     if refine:
-        result.singular_points = _refine_from_grid(p, result, solver, tol, zero_tol)
+        result.singular_points = _refine_from_grid(p, grid, mats, solver, tol, zero_tol)
     return result
 
 
+def _point(k: float, m: TransferMatrix, zero_tol: float) -> ScanPoint:
+    try:
+        data = m.amplitudes()
+    except SpectralSingularityError:
+        data = None
+    return ScanPoint(float(k), m, data, classify(m, zero_tol))
+
+
 def _refine_from_grid(
-    p: Potential, result: ScanResult, solver: str, tol: float, zero_tol: float
+    p: Potential, grid: np.ndarray, mats: np.ndarray, solver: str, tol: float, zero_tol: float
 ) -> list[SingularPoint]:
+    """Refine the local minima of |entry|/||M|| on the grid; a failed point
+    (NaN matrix) is never a minimum."""
     found: list[SingularPoint] = []
-    grid = result.k
+    norms = np.maximum(np.linalg.norm(mats, axis=(-2, -1)), 1e-300)
     for entry in ENTRY_NAMES:
-        vals = np.array(
-            [
-                abs(pt.matrix.entry(entry)) / max(pt.matrix.norm(), 1e-300)
-                if pt.matrix is not None
-                else np.inf
-                for pt in result.points
-            ]
-        )
+        row, col = ENTRY_INDEX[entry]
+        vals = np.abs(mats[:, row, col]) / norms
+        vals[np.isnan(vals)] = np.inf
         for i in range(1, len(grid) - 1):
             if not (vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]):
                 continue
@@ -245,8 +268,16 @@ def refine_zero(
     if not (0 < k_lo < k_hi):
         raise ValueError("bracket must satisfy 0 < k_lo < k_hi")
 
+    solved: dict[float, TransferMatrix] = {}
+
+    def at(k: float) -> TransferMatrix:
+        # Newton revisits accepted steps and the final k_star: solve each k once
+        if k not in solved:
+            solved[k] = matrix_at(p, k, solver, solver_tol)
+        return solved[k]
+
     def entry_at(k: float) -> complex:
-        return matrix_at(p, k, solver, solver_tol).entry(entry)
+        return at(k).entry(entry)
 
     def objective(k: float) -> float:
         return abs(entry_at(k)) ** 2
@@ -258,6 +289,7 @@ def refine_zero(
         options={"xatol": 1e-13 * max(1.0, k_hi), "maxiter": 200},
     )
     k_star = float(res.x)
+    row, col = ENTRY_INDEX[entry]
     # the entries are analytic in k, so polish a genuine real zero with Newton
     # (projected to the real axis); golden-section alone stalls near sqrt(eps)
     for _ in range(8):
@@ -265,7 +297,8 @@ def refine_zero(
         if abs(val) == 0.0:
             break
         h = 1e-7 * max(1.0, k_star)
-        dval = (entry_at(k_star + h) - entry_at(k_star - h)) / (2 * h)
+        below, above = matrix_at(p, np.array([k_star - h, k_star + h]), solver, solver_tol)
+        dval = (complex(above[row, col]) - complex(below[row, col])) / (2 * h)
         if dval == 0:
             break
         step = float(np.real(val / dval))
@@ -276,7 +309,7 @@ def refine_zero(
         if abs(entry_at(k_new)) >= abs(val):
             break
         k_star = k_new
-    m = matrix_at(p, k_star, solver, solver_tol)
+    m = at(k_star)
     residual = abs(m.entry(entry))
     threshold = tol * m.norm()
     if residual >= threshold:

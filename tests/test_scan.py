@@ -6,13 +6,18 @@ delta z = ig lases (M22 = 0) and a lossy one z = -ig absorbs coherently
 sqrt(k^2 - V) L is a multiple of pi.
 """
 
+import functools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import scatter1d as s
+from conftest import rel_diff
+
+SCAN = sys.modules["scatter1d.scan"]
 
 def found(result, entry):
     return [sp for sp in result.singular_points if sp.entry == entry]
@@ -78,3 +83,59 @@ def test_default_grid_from_support_length():
     # 512 points per unit of (k_max - k_min)*L/(2 pi)
     barrier = s.PiecewiseConstant.barrier(3.0, 0.0, 2.0)
     assert s.default_scan_points(barrier, 3.3, 5.3) == math.ceil(512 * 2.0 * 2.0 / (2 * math.pi))
+
+
+BATCH_CASES = {
+    "barrier": (s.PiecewiseConstant.barrier(1.5 - 0.2j, 0.0, 1.0), 3.0, 4.0),
+    "delta_comb": (s.DeltaComb([(0.4, -1.0), (-0.6j, 0.0), (0.3 + 0.3j, 1.2)]), 0.5, 2.0),
+    "smis": (s.SmisProfile(1.0, 0.02, 2, 0.3), 0.95, 1.05),
+    # 8 k L / pi > 64 here, so every k of the grid starts from its own slice count
+    "grating_high_k": (s.ExpGrating(0.3 - 0.1j, 1, 2.0), 13.0, 15.0),
+    "periodic_numeric_cell": (s.LocallyPeriodic(s.ExpGrating(0.3 - 0.1j, 1, 0.4), 5, 0.6), 0.9, 1.4),
+    "reversed_translated": (
+        s.TimeReversed(s.Translated(s.PiecewiseConstant.barrier(0.9 - 0.3j, 0.0, 0.8), 2.2)),
+        0.5, 3.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("solver", ["exact", "dynamical", "auto"])
+@pytest.mark.parametrize("name", sorted(BATCH_CASES))
+def test_batched_grid_equals_per_point(name, solver):
+    p, k_min, k_max = BATCH_CASES[name]
+    grid = np.linspace(k_min, k_max, 9)
+    singles = []
+    for k in grid:
+        try:
+            singles.append(s.matrix_at(p, float(k), solver).m)
+        except s.NotExactlySolvable as exc:
+            singles.append(f"NotExactlySolvable: {exc}")
+    result = s.scan(p, k_min, k_max, len(grid), solver=solver, refine=False)
+    if isinstance(singles[0], str):   # no closed form: every point records the error
+        with pytest.raises(s.NotExactlySolvable):
+            s.matrix_at(p, grid, solver)
+        assert [pt.error for pt in result.points] == singles
+        return
+    batch = s.matrix_at(p, grid, solver)
+    assert batch.shape == (len(grid), 2, 2)
+    for one, many, pt in zip(singles, batch, result.points):
+        assert rel_diff(many, one) <= 1e-13
+        assert rel_diff(pt.matrix.m, one) <= 1e-13
+
+
+def test_failed_wavenumber_records_its_own_error(monkeypatch):
+    # at a cap of 256 slices the grating reaches tol at some k of the grid only
+    capped = functools.partial(s.transfer_matrix_dynamical, max_slices=256)
+    monkeypatch.setattr(SCAN, "transfer_matrix_dynamical", capped)
+    p, grid = s.ExpGrating(0.3 - 0.1j, 1, 2.0), np.linspace(0.5, 12.0, 9)
+    result = s.scan(p, grid[0], grid[-1], len(grid), solver="dynamical", refine=False)
+    errors = 0
+    for k, pt in zip(grid, result.points):
+        try:
+            one = s.matrix_at(p, float(k), "dynamical")
+        except s.ToleranceNotReached as exc:
+            assert pt.matrix is None and pt.error == f"ToleranceNotReached: {exc}"
+            errors += 1
+        else:
+            assert pt.error is None and rel_diff(pt.matrix.m, one.m) <= 1e-13
+    assert 0 < errors < len(grid)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scatter1d as s
-from scatter1d.transfer import IDENTITY, KMAT, SIGMA3, propagation_matrix
-from conftest import assert_close
+from scatter1d.transfer import IDENTITY, KMAT, SIGMA3, chain_product, propagation_matrix
+from conftest import assert_close, rel_diff
 
 
 def random_unimodular(rng):
@@ -106,6 +106,30 @@ class TestCompose:
         b = s.delta_matrix(1.0, 0.0, 2.0)
         with pytest.raises(s.WavenumberMismatchError):
             s.compose(a, b)
+        with pytest.raises(s.WavenumberMismatchError):
+            s.compose_chain([a, a, b])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 4097])
+    def test_chain_product_matches_sequential(self, rng, n):
+        # thin complex slices, as the dynamical engine multiplies them, at
+        # three wavenumbers on a leading axis and at one with no batch axis
+        edges = np.sort(rng.uniform(0.0, 3.0, n + 1))
+        heights = rng.normal(size=n) + 1j * rng.normal(size=n)
+        k = np.array([0.4, 1.3, 2.9])
+        stacks = s.exact.barrier_slice_matrices(heights, edges[:-1], edges[1:], k[:, None])
+
+        def sequential(stack):
+            out = stack[0]
+            for m in stack[1:]:
+                out = m @ out
+            return out
+
+        batched = chain_product(stacks)
+        assert batched.shape == (3, 2, 2)
+        for stack, got in zip(stacks, batched):
+            ref = sequential(stack)
+            assert rel_diff(got, ref) <= 1e-13
+            assert rel_diff(chain_product(stack), ref) <= 1e-13
 
     def test_det_multiplicative(self, rng):
         a = s.TransferMatrix(random_unimodular(rng), 1.0)
