@@ -24,7 +24,9 @@ import numpy as np
 from .engines import s_curve_solve
 from .potentials import Potential, SmisProfile, Sum
 from .scan import matrix_at
-from .transfer import ScatteringData, TransferMatrix, chain_product, matrix_from_amplitudes
+from .transfer import (
+    ScatteringData, TransferMatrix, chain_product, matrix_from_amplitudes, time_reverse_stack,
+)
 
 __all__ = [
     "DesignSpec",
@@ -280,7 +282,7 @@ def factor_matrices(spec: DesignSpec, rho: complex | None = None) -> list[np.nda
     elif rl0 != 0:
         # handled by time reversal in solve_single_mode; factor for reference
         reversed_spec = _time_reversed_spec(spec)
-        factors = [_conj_factor(f) for f in factor_matrices(reversed_spec, rho)]
+        factors = [time_reverse_stack(f) for f in factor_matrices(reversed_spec, rho)]
     else:
         if unit_t:
             return []
@@ -292,13 +294,6 @@ def factor_matrices(spec: DesignSpec, rho: complex | None = None) -> list[np.nda
             upper((1.0 - t0) / rho_v),
         ]
     return [f for f in factors if np.abs(f - np.eye(2)).max() > 0]
-
-
-def _conj_factor(f: np.ndarray) -> np.ndarray:
-    # time reversal maps a factor F to sigma1 F* sigma1 (swap + conjugate)
-    return np.array(
-        [[np.conj(f[1, 1]), np.conj(f[1, 0])], [np.conj(f[0, 1]), np.conj(f[0, 0])]]
-    )
 
 
 def _time_reversed_spec(spec: DesignSpec) -> DesignSpec:

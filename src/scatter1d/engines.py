@@ -38,7 +38,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .exact import barrier_slice_matrices, delta_matrices
-from .potentials import Potential
+from .potentials import Potential, _cuts, _slices
 from .transfer import (
     IDENTITY,
     KMAT,
@@ -183,17 +183,6 @@ def transfer_matrix_dynamical(
     return out.reshape(np.shape(k) + (2, 2))
 
 
-def _cuts(edges, nodes: np.ndarray) -> np.ndarray:
-    """The edges, sorted and unique, plus the interpolation nodes strictly
-    between edges[0] and edges[-1], which must be the outermost two.
-
-    Every engine cuts here, so no slice and no ODE step straddles a kink.
-    """
-    lo, hi = edges[0], edges[-1]
-    gap = 1e-14 * max(abs(lo), abs(hi), 1.0)
-    return np.union1d(edges, nodes[(nodes > lo + gap) & (nodes < hi - gap)])
-
-
 def _integrate_pieces(rhs, cuts, y0, tol: float, at_cut) -> tuple[np.ndarray, np.ndarray]:
     """Integrate y' = rhs(x, y) with DOP853 from each cut to the next.
 
@@ -212,12 +201,6 @@ def _integrate_pieces(rhs, cuts, y0, tol: float, at_cut) -> tuple[np.ndarray, np
         ys.append(sol.y)
         y = at_cut(hi, sol.y[:, -1])
     return np.concatenate(xs), np.concatenate(ys, axis=1)
-
-
-def _slices(cells: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right edges of m equal slices in every cell."""
-    left = (cells[:-1, None] + np.diff(cells)[:, None] * (np.arange(m) / m)).ravel()
-    return left, np.append(left[1:], cells[-1])
 
 
 PASS_SLICES = 2**12   # slice matrices held by one pass over a batch of k

@@ -6,6 +6,11 @@ symbolic delta terms z*delta(x - a), returned by ``delta_terms``.  Delta
 terms are never sampled numerically; downstream solvers splice their exact
 transfer matrices instead.
 
+Fourier and ordered double transforms with no closed form take one route,
+``_richardson_filon``: a Richardson-refined Filon quadrature cut by ``_cuts``
+where the engines cut, at every support edge, internal boundary and
+interpolation node.
+
 Units: hbar = 1, lengths dimensionless, wavenumbers in inverse length.
 """
 
@@ -150,35 +155,81 @@ def _ordered_window_ft(q1: complex, q2: complex, L: float) -> complex:
     return -dE - q1 * d2E / 2.0 - q1 * q1 * d3E / 6.0
 
 
-def _filon_linear(x: np.ndarray, y: np.ndarray, kappa: float) -> complex:
-    """integral of the linear interpolant of (x, y) times e^{-i kappa x}.
+def _filon_cells(x: np.ndarray, y: np.ndarray, kappa: float) -> np.ndarray:
+    """Per-cell integrals of the linear interpolant of (x, y) times e^{-i kappa x}.
 
     The oscillatory factor is integrated exactly per cell, so accuracy is
     limited only by the interpolation error of y, not by kappa.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=complex)
     h = np.diff(x)
     w = -1j * kappa * h
-    g1 = _g1(w)
-    g2 = _g2(w)
-    y0 = y[:-1]
-    dy = np.diff(y)
-    cells = np.exp(-1j * kappa * x[:-1]) * h * (y0 * g1 + dy * g2)
-    return complex(cells.sum())
+    return np.exp(-1j * kappa * x[:-1]) * h * (y[:-1] * _g1(w) + np.diff(y) * _g2(w))
+
+
+def _filon_linear(x: np.ndarray, y: np.ndarray, kappa: float) -> complex:
+    """integral of the linear interpolant of (x, y) times e^{-i kappa x}."""
+    return complex(_filon_cells(x, y, kappa).sum())
 
 
 def _filon_prefix(x: np.ndarray, y: np.ndarray, kappa: float) -> np.ndarray:
     """Cumulative Filon integral: G[j] = integral_{x0}^{xj} e^{-i kappa t} y(t) dt."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=complex)
-    h = np.diff(x)
-    w = -1j * kappa * h
-    cells = np.exp(-1j * kappa * x[:-1]) * h * (y[:-1] * _g1(w) + np.diff(y) * _g2(w))
-    out = np.empty(x.size, dtype=complex)
-    out[0] = 0.0
-    np.cumsum(cells, out=out[1:])
+    out = np.zeros(np.size(x), dtype=complex)
+    np.cumsum(_filon_cells(x, y, kappa), out=out[1:])
     return out
+
+
+def _cuts(edges, nodes: np.ndarray) -> np.ndarray:
+    """The edges, sorted and unique, plus the interpolation nodes strictly
+    between edges[0] and edges[-1], which must be the outermost two.
+
+    Every slice, ODE step and quadrature cell is cut here, so none straddles
+    a kink.
+    """
+    lo, hi = edges[0], edges[-1]
+    gap = 1e-14 * max(abs(lo), abs(hi), 1.0)
+    return np.union1d(edges, nodes[(nodes > lo + gap) & (nodes < hi - gap)])
+
+
+def _slices(cells: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right edges of m equal slices in every cell."""
+    left = (cells[:-1, None] + np.diff(cells)[:, None] * (np.arange(m) / m)).ravel()
+    return left, np.append(left[1:], cells[-1])
+
+
+QUADRATURE_POINTS = 2**20   # grid cap of the numeric transforms
+
+
+def _richardson_filon(p: Potential, rule, tol: float, name: str) -> complex:
+    """Filon quadrature ``rule(x, y)`` of p's smooth part on the dynamical
+    engine's slices, refined as that engine refines.
+
+    v is taken at slice midpoints and held on each slice (every slice edge
+    appears twice in x), so it is never sampled at a cut, where an
+    overlapping sum may jump.  Every level halves every slice; the error is
+    even in the slice width, so one Richardson step (4 F_2n - F_n)/3 makes
+    it 4th order, and two successive Richardson values that agree within tol
+    are accepted.
+    """
+    a, b = p.support()
+    # the cuts plus 64 equal cells of the support, so that no cell starts wide
+    edges = [a, *p.internal_boundaries(), *np.linspace(a, b, 65), b]
+    cells = _cuts(edges, p.interpolation_nodes())
+    m = 1
+    prev = prev_rich = None
+    while 2 * (cells.size - 1) * m <= QUADRATURE_POINTS:
+        left, right = _slices(cells, m)
+        x = np.stack([left, right], axis=-1).ravel()
+        val = rule(x, np.repeat(p.evaluate(0.5 * (left + right)), 2))
+        if prev is not None:
+            rich = (4 * val - prev) / 3
+            if prev_rich is not None and abs(rich - prev_rich) <= tol * max(1.0, abs(rich)):
+                return rich
+            prev_rich = rich
+        prev = val
+        m *= 2
+    raise QuadratureError(
+        f"{name} quadrature did not converge to {tol:g} (last value {prev})"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +275,17 @@ class Potential:
         return self._double_fourier(k1, k2, tol)
 
     def _fourier_smooth(self, kappa: float, tol: float) -> complex:
-        return _fourier_by_quadrature(self, kappa, tol)
+        return _richardson_filon(self, lambda x, v: _filon_linear(x, v, kappa), tol, "fourier")
 
     def _double_fourier(self, k1: float, k2: float, tol: float) -> complex:
         if self.delta_terms():
             raise NotImplementedError(
                 "ordered double transform with delta terms has no generic quadrature"
             )
-        return _double_fourier_by_quadrature(self, k1, k2, tol)
+        def rule(x, v):
+            return _filon_linear(x, v * _filon_prefix(x, v, k1), k2)
+
+        return _richardson_filon(self, rule, tol, "double-fourier")
 
     # -- misc ---------------------------------------------------------------
 
@@ -253,50 +307,6 @@ class Potential:
 
     def to_dict(self) -> dict:
         raise NotImplementedError
-
-
-def _sampling_grid(p: Potential, n: int) -> np.ndarray:
-    a, b = p.support()
-    edges = sorted(set(p.internal_boundaries()) | {a, b})
-    grid = [np.array([a])]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi <= lo:
-            continue
-        m = max(8, int(round(n * (hi - lo) / max(b - a, 1e-300))))
-        grid.append(np.linspace(lo, hi, m + 1)[1:])
-    return np.concatenate(grid)
-
-
-def _fourier_by_quadrature(p: Potential, kappa: float, tol: float) -> complex:
-    n = 1024
-    prev = None
-    while n <= 2**20:
-        x = _sampling_grid(p, n)
-        val = _filon_linear(x, p.evaluate(x), kappa)
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
-            return val
-        prev = val
-        n *= 2
-    raise QuadratureError(
-        f"fourier quadrature did not converge to {tol:g} (last value {prev})"
-    )
-
-
-def _double_fourier_by_quadrature(p: Potential, k1: float, k2: float, tol: float) -> complex:
-    n = 1024
-    prev = None
-    while n <= 2**18:
-        x = _sampling_grid(p, n)
-        v = p.evaluate(x)
-        inner = _filon_prefix(x, v, k1)
-        val = _filon_linear(x, v * inner, k2)
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
-            return val
-        prev = val
-        n *= 2
-    raise QuadratureError(
-        f"double-fourier quadrature did not converge to {tol:g} (last value {prev})"
-    )
 
 
 @dataclass(frozen=True)
@@ -634,11 +644,6 @@ class Sampled(Potential):
     def _fourier_smooth(self, kappa, tol):
         return _filon_linear(self.grid, self.values, kappa)
 
-    def _double_fourier(self, k1, k2, tol):
-        g = self.grid
-        inner = _filon_prefix(g, self.values, k1)
-        return _filon_linear(g, self.values * inner, k2)
-
     def to_dict(self):
         return {
             "type": "sampled",
@@ -699,7 +704,7 @@ class Sum(Potential):
         if not self.parts:
             return 0.0 + 0.0j
         if self.overlapping:
-            return _double_fourier_by_quadrature(self, k1, k2, tol)
+            return super()._double_fourier(k1, k2, tol)
         parts = self.spatially_sorted()
         total = sum((p._double_fourier(k1, k2, tol) for p in parts), 0.0 + 0.0j)
         fts1 = [p.fourier(k1, tol) for p in parts]

@@ -200,7 +200,8 @@ def _refine_from_grid(
     p: Potential, grid: np.ndarray, mats: np.ndarray, solver: str, tol: float, zero_tol: float
 ) -> list[SingularPoint]:
     """Refine the local minima of |entry|/||M|| on the grid; a failed point
-    (NaN matrix) is never a minimum."""
+    (NaN matrix) is never a minimum, and a minimum whose refinement fails is
+    skipped like one that holds no zero."""
     found: list[SingularPoint] = []
     norms = np.maximum(np.linalg.norm(mats, axis=(-2, -1)), 1e-300)
     for entry in ENTRY_NAMES:
@@ -216,7 +217,7 @@ def _refine_from_grid(
                 sp = refine_zero(
                     p, entry, (float(grid[i - 1]), float(grid[i + 1])), zero_tol, solver, tol
                 )
-            except NoZeroFound:
+            except RuntimeError:   # NoZeroFound, or a solver failure inside the bracket
                 continue
             if all(abs(sp.k_star - other.k_star) > 1e-12 * sp.k_star or other.entry != entry
                    for other in found):

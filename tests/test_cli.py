@@ -39,6 +39,8 @@ def test_design_output_verifies(tmp_path):
     verify = run_cli("verify", "--spec", "design.json", "--k", "1.0", *target, cwd=tmp_path)
     assert verify.returncode == 0, verify.stderr
     assert json.loads(verify.stdout)["ok"] is True
+    approx = run_cli("approx", "--spec", "design.json", "--k", "1.0", cwd=tmp_path)
+    assert approx.returncode == 0, approx.stderr
 
 
 def test_verify_exact_without_closed_form_is_a_usage_error(tmp_path):

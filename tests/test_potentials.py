@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scatter1d as s
-from conftest import assert_close, corpus
+from conftest import assert_close, corpus, smooth_corpus
 
 
 class TestEvaluate:
@@ -218,6 +218,93 @@ class TestDoubleFourier:
         inner = np.concatenate([[0], np.cumsum(0.5 * (c[1:] + c[:-1]) * np.diff(xs))])
         brute = np.trapezoid(np.exp(-1j * k2 * xs) * v * inner, xs)
         assert_close(p.double_fourier(k1, k2), brute, 1e-6)
+
+    def test_overlapping_sum_with_delta_raises(self):
+        p = s.Sum([s.PiecewiseConstant.barrier(0.5, 0.0, 1.0), s.DeltaComb([(0.7, 0.5)])])
+        assert p.overlapping
+        with pytest.raises(NotImplementedError):
+            p.double_fourier(1.1, -0.7)
+
+
+GL_X, GL_W = np.polynomial.legendre.leggauss(8)
+
+
+def _gl_pieces(p, width=0.05):
+    """Left ends and widths of pieces of at most `width` that tile the
+    support, cut at its edges, internal boundaries and interpolation nodes."""
+    a, b = p.support()
+    inner = [x for x in (*p.internal_boundaries(), *p.interpolation_nodes()) if a < x < b]
+    breaks = np.union1d([a, b], inner)
+    counts = np.ceil(np.diff(breaks) / width).astype(int)
+    piece = np.repeat(np.arange(counts.size), counts)
+    j = np.arange(piece.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    h = np.diff(breaks)[piece] / counts[piece]
+    return breaks[piece] + j * h, h
+
+
+def _gl_nodes(lo, h):
+    """Gauss-Legendre nodes and weights on [lo, lo + h], one row per piece."""
+    return lo[..., None] + h[..., None] * (GL_X + 1) / 2, h[..., None] * GL_W / 2
+
+
+def _weighted(p, x, w, kappa):
+    return w * p.evaluate(x.ravel()).reshape(x.shape) * np.exp(-1j * kappa * x)
+
+
+def reference_fourier(p, kappa):
+    x, w = _gl_nodes(*_gl_pieces(p))
+    return complex(_weighted(p, x, w, kappa).sum())
+
+
+def reference_double_fourier(p, k1, k2):
+    """Nested Gauss-Legendre: the pieces before x2 in full, and the piece of
+    x2 from its left end up to x2."""
+    lo, h = _gl_pieces(p)
+    x2, w2 = _gl_nodes(lo, h)
+    whole = _weighted(p, x2, w2, k1).sum(axis=1)
+    x1, w1 = _gl_nodes(lo[:, None], x2 - lo[:, None])
+    inner = (np.cumsum(whole) - whole)[:, None] + _weighted(p, x1, w1, k1).sum(axis=-1)
+    return complex((_weighted(p, x2, w2, k2) * inner).sum())
+
+
+def numeric_transform_cases():
+    """Potentials with no closed-form transform, and whether their single
+    transform is numeric too (a sampled one is exact for its interpolant)."""
+    smooth = {**corpus(), **smooth_corpus()}
+    cases = {name: (p, True) for name, p in smooth.items() if isinstance(p, s.SmisProfile)}
+    cases.update({name: (smooth[name], False) for name in ("sampled_bump", "sampled_w1")})
+    overlap = s.Sum([smooth["sampled_bump"], s.ExpGrating(0.2, 1, 1.0, 0.9)])
+    cases["overlapping_sum"] = (overlap, True)
+    # the README design output (scatter1d design --k0 1.0 --r-left 1.7320508@-45
+    # --r-right 0,0 --t 0,1.4142136)
+    readme_design = s.Sum([
+        s.SmisProfile(1.0, 0.008154001370526576, 5, 0.8703573970321296, True),
+        s.SmisProfile(1.0, 0.00832641276999646, 6, 18.456856839840036, False),
+        s.SmisProfile(1.0, 0.009652497106174662, 6, 39.35486740350709, True),
+    ])
+    cases["readme_design"] = (readme_design, True)
+    return cases
+
+
+class TestNumericTransforms:
+    """Numeric transforms keep tol against nested Gauss-Legendre, relative to
+    max(1, |reference|), at the arguments of dyson_order2 for k = 1.15."""
+
+    K2 = 2.3
+    PAIRS = ((0.0, 0.0), (-K2, K2), (K2, -K2), (K2, 0.0), (0.0, K2), (-K2, 0.0), (0.0, -K2))
+
+    @pytest.mark.parametrize("name", sorted(numeric_transform_cases()))
+    def test_within_tol_of_gauss_legendre(self, name):
+        p, single = numeric_transform_cases()[name]
+        checks = [(p.double_fourier, args, reference_double_fourier(p, *args))
+                  for args in self.PAIRS]
+        if single:
+            checks += [(p.fourier, (kap,), reference_fourier(p, kap))
+                       for kap in (0.0, self.K2, -self.K2)]
+        for tol in (1e-8, 1e-10):
+            for transform, args, ref in checks:
+                err = abs(transform(*args, tol=tol) - ref) / max(1.0, abs(ref))
+                assert err <= tol, f"{name} {transform.__name__}{args} tol={tol:g}: {err:.3e}"
 
 
 class TestPermittivity:

@@ -124,18 +124,20 @@ def test_batched_grid_equals_per_point(name, solver):
 
 
 def test_failed_wavenumber_records_its_own_error(monkeypatch):
-    # at a cap of 256 slices the grating reaches tol at some k of the grid only
+    # at a cap of 256 slices the grating reaches tol at some k of the grid
+    # only; a refinement that fails is skipped, not raised out of the scan
     capped = functools.partial(s.transfer_matrix_dynamical, max_slices=256)
     monkeypatch.setattr(SCAN, "transfer_matrix_dynamical", capped)
     p, grid = s.ExpGrating(0.3 - 0.1j, 1, 2.0), np.linspace(0.5, 12.0, 9)
-    result = s.scan(p, grid[0], grid[-1], len(grid), solver="dynamical", refine=False)
-    errors = 0
-    for k, pt in zip(grid, result.points):
-        try:
-            one = s.matrix_at(p, float(k), "dynamical")
-        except s.ToleranceNotReached as exc:
-            assert pt.matrix is None and pt.error == f"ToleranceNotReached: {exc}"
-            errors += 1
-        else:
-            assert pt.error is None and rel_diff(pt.matrix.m, one.m) <= 1e-13
-    assert 0 < errors < len(grid)
+    for refine in (False, True):
+        result = s.scan(p, grid[0], grid[-1], len(grid), solver="dynamical", refine=refine)
+        errors = 0
+        for k, pt in zip(grid, result.points):
+            try:
+                one = s.matrix_at(p, float(k), "dynamical")
+            except s.ToleranceNotReached as exc:
+                assert pt.matrix is None and pt.error == f"ToleranceNotReached: {exc}"
+                errors += 1
+            else:
+                assert pt.error is None and rel_diff(pt.matrix.m, one.m) <= 1e-13
+        assert 0 < errors < len(grid)
