@@ -166,7 +166,7 @@ def cmd_design(args) -> int:
             parse_complex(args.t),
         )
     except ValueError as exc:
-        raise CliParseError(f"zero transmission unrealizable: {exc}") from exc
+        raise CliParseError(str(exc)) from exc
     result = solve_single_mode(spec, verify_tol=args.verify_tol)
     _dump(potential_to_dict(result.potential), args.out_spec)
     if args.out_profile:

@@ -26,7 +26,10 @@ Both ODE routes keep their own equations and read-outs but step through one
 driver, ``_integrate_pieces``: DOP853 from each cut to the next, with a hook
 at every cut for delta jumps and per-piece bookkeeping.  The cuts include
 every interpolation node: adaptive error control underestimates the error of
-a step that strides a kink of sampled data.
+a step that strides a kink of sampled data.  The stepper takes scipy's DOP853
+steps exactly, with scipy's tableau and step control, but the right-hand
+sides take v as an argument: v depends on x alone, so each step attempt
+evaluates it once, at all of its stage abscissae.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
 
 from .exact import barrier_slice_matrices, delta_matrices
 from .potentials import Potential, _cuts, _slices
@@ -183,26 +186,6 @@ def transfer_matrix_dynamical(
     return out.reshape(np.shape(k) + (2, 2))
 
 
-def _integrate_pieces(rhs, cuts, y0, tol: float, at_cut) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate y' = rhs(x, y) with DOP853 from each cut to the next.
-
-    ``at_cut(x, y)`` returns the state to continue from at every cut, the
-    first and the last included (the value at the first cut is y0).  Returns
-    the concatenated steps (x, Y) of all pieces, Y of shape (len(y0), n);
-    empty when there is a single cut.
-    """
-    y = at_cut(cuts[0], np.asarray(y0))
-    xs, ys = [np.empty(0)], [np.empty((len(y0), 0))]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        sol = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=tol, atol=tol * 1e-3)
-        if not sol.success:
-            raise RuntimeError(f"integration failed: {sol.message}")
-        xs.append(sol.t)
-        ys.append(sol.y)
-        y = at_cut(hi, sol.y[:, -1])
-    return np.concatenate(xs), np.concatenate(ys, axis=1)
-
-
 PASS_SLICES = 2**12   # slice matrices held by one pass over a batch of k
 
 
@@ -262,6 +245,114 @@ def _refine_group(
 
 
 # ---------------------------------------------------------------------------
+# DOP853 driver shared by the two ODE engines
+# ---------------------------------------------------------------------------
+
+
+def _integrate_pieces(
+    rhs, p: Potential, cuts, y0, tol: float, at_cut
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate y' = rhs(x, y, v(x)) with DOP853 from each cut to the next.
+
+    ``at_cut(x, y)`` returns the state to continue from at every cut, the
+    first and the last included (the value at the first cut is y0).  Returns
+    the concatenated steps (x, Y) of all pieces, Y of shape (len(y0), n);
+    empty when there is a single cut.
+    """
+    rtol, atol = max(tol, 100 * np.finfo(float).eps), tol * 1e-3   # scipy's rtol floor
+    y = at_cut(cuts[0], np.asarray(y0))
+    xs, ys = [], []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        y = np.asarray(y, dtype=float)
+        if not np.isfinite(y).all():
+            raise ValueError("All components of the initial state `y0` must be finite.")
+        xs.append(lo)
+        ys.append(y)
+        for x, y in _dop853_steps(rhs, p, float(lo), float(hi), y, rtol, atol):
+            xs.append(x)
+            ys.append(y)
+        y = at_cut(hi, y)
+    return np.array(xs, dtype=float), np.array(ys, dtype=float).reshape(-1, len(y0)).T
+
+
+# scipy's DOP853: its tableau, and the constants of its step-size control
+_A, _B, _C, _E3, _E5 = DOP853.A, DOP853.B, DOP853.C, DOP853.E3, DOP853.E5
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
+ERROR_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
+
+
+def _rms(a: np.ndarray) -> float:
+    return np.linalg.norm(a) / a.size ** 0.5
+
+
+def _dop853_steps(rhs, p: Potential, lo: float, hi: float, y: np.ndarray, rtol, atol):
+    """Yield the accepted steps (x, y) of scipy's DOP853 from lo to hi.
+
+    Step for step what scipy's DOP853 solver takes at rtol, atol, but v
+    depends on x alone, so each step attempt evaluates it once at all its
+    stage abscissae instead of once per stage.
+    """
+    def f(x, y, v):
+        return np.asarray(rhs(x, y, v), dtype=float)
+
+    direction = np.sign(hi - lo)
+    t, f_t = lo, f(lo, y, p.evaluate(lo))
+    # initial step (Hairer, Norsett & Wanner II.4), as scipy's select_initial_step
+    length = abs(hi - lo)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f_t / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
+    x1 = lo + h0 * direction
+    d2 = _rms((f(x1, y + h0 * direction * f_t, p.evaluate(x1)) - f_t) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h_abs = min(100 * h0, max(1e-6, h0 * 1e-3), length)
+    else:
+        h_abs = min(100 * h0, (0.01 / max(d1, d2)) ** -ERROR_EXPONENT, length)
+
+    K = np.empty((len(_C) + 1, y.size))
+    while direction * (t - hi) < 0:
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise RuntimeError(
+                    "integration failed: Required step size is less than spacing between numbers."
+                )
+            t_new = t + h_abs * direction
+            if direction * (t_new - hi) > 0:
+                t_new = hi
+            h = t_new - t
+            h_abs = np.abs(h)
+            xs = [t + c * h for c in _C[1:]] + [t + h]
+            vs = p.evaluate(np.array(xs)).tolist()
+            K[0] = f_t
+            for s, (a, x, v) in enumerate(zip(_A[1:], xs, vs), start=1):
+                K[s] = f(x, y + np.dot(K[:s].T, a[:s]) * h, v)
+            y_new = y + h * np.dot(K[:-1].T, _B)
+            K[-1] = f_new = f(xs[-1], y_new, vs[-1])
+
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5_2 = np.linalg.norm(np.dot(K.T, _E5) / scale) ** 2
+            err3_2 = np.linalg.norm(np.dot(K.T, _E3) / scale) ** 2
+            if err5_2 == 0 and err3_2 == 0:
+                error_norm = 0.0
+            else:
+                error_norm = h_abs * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * y.size)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+            rejected = True
+        t, y, f_t = t_new, y_new, f_new
+        yield t, y
+
+
+# ---------------------------------------------------------------------------
 # Stationary wave-equation engine
 # ---------------------------------------------------------------------------
 
@@ -290,11 +381,10 @@ class WaveSolution:
     quad_plus: complex
 
 
-def _schrodinger_rhs(p: Potential, k: float):
-    def rhs(x, y):
+def _schrodinger_rhs(k: float):
+    def rhs(x, y, v):
         psi = y[0] + 1j * y[1]
         dpsi = y[2] + 1j * y[3]
-        v = p.evaluate(x)
         dd = (v - k * k) * psi
         w = v * psi
         qm = np.exp(-1j * k * x) * w
@@ -353,7 +443,7 @@ def scattering_solution(
         return [psi.real, psi.imag, dpsi.real, dpsi.imag, 0.0, 0.0, 0.0, 0.0]
 
     y0 = [psi.real, psi.imag, dpsi.real, dpsi.imag, 0.0, 0.0, 0.0, 0.0]
-    x_all, y_all = _integrate_pieces(_schrodinger_rhs(p, k), checkpoints, y0, tol, at_cut)
+    x_all, y_all = _integrate_pieces(_schrodinger_rhs(k), p, checkpoints, y0, tol, at_cut)
 
     if backward:
         quad_smooth = -quad_smooth  # traversal accumulated int_b^a
@@ -445,6 +535,17 @@ class SCurveTrace:
     min_abs_s_prime: float
 
 
+def _s_curve_rhs(k: float):
+    def rhs(x, y, v):
+        s = y[0] + 1j * y[1]
+        sp = y[2] + 1j * y[3]
+        spp = v * s - 2j * k * sp
+        dr = 2j * k * np.exp(-2j * k * x) * v / (sp * sp)
+        return [sp.real, sp.imag, spp.real, spp.imag, dr.real, dr.imag]
+
+    return rhs
+
+
 def s_curve_solve(
     p: Potential, k: float, tol: float = 1e-10, pole_tol: float = 1e-8
 ) -> tuple[ScatteringData, SCurveTrace]:
@@ -476,19 +577,11 @@ def s_curve_solve(
         )
         return ScatteringData(0.0, 0.0, 1.0, k), trace
 
-    def rhs(x, y):
-        s = y[0] + 1j * y[1]
-        sp = y[2] + 1j * y[3]
-        v = p.evaluate(x)
-        spp = v * s - 2j * k * sp
-        dr = 2j * k * np.exp(-2j * k * x) * v / (sp * sp)
-        return [sp.real, sp.imag, spp.real, spp.imag, dr.real, dr.imag]
-
     z_minus = np.exp(-2j * k * a)
     y0 = [z_minus.real, z_minus.imag, (-2j * k * z_minus).real, (-2j * k * z_minus).imag, 0.0, 0.0]
     edges = [a, *(x for x in p.internal_boundaries() if a < x < b), b]
     cuts = _cuts(edges, p.interpolation_nodes()).tolist()
-    x_all, y_all = _integrate_pieces(rhs, cuts, y0, tol, lambda x, y: y)
+    x_all, y_all = _integrate_pieces(_s_curve_rhs(k), p, cuts, y0, tol, lambda x, y: y)
     s_end, sp_end, r_left = (y_all[j, -1] + 1j * y_all[j + 1, -1] for j in (0, 2, 4))
     s_all = y_all[0] + 1j * y_all[1]
     sp_all = y_all[2] + 1j * y_all[3]

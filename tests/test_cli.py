@@ -52,3 +52,18 @@ def test_verify_exact_without_closed_form_is_a_usage_error(tmp_path):
     assert run.stderr.startswith(b"error: ")
     assert b"Traceback" not in run.stderr
     assert run.stdout == b""
+
+
+def test_design_usage_errors_print_their_own_message(tmp_path):
+    base = {"--k0": "1.0", "--r-left": "0.1,0", "--r-right": "0.2,0", "--t": "1,0.1"}
+    cases = [
+        ("--k0", "-1", b"error: k0 must be positive\n"),
+        ("--r-left", "0.1x", b"error: cannot parse complex number '0.1x': "),
+        ("--t", "0", b"error: zero transmission unrealizable (T never vanishes)\n"),
+    ]
+    for flag, value, message in cases:
+        argv = [item for key, val in {**base, flag: value}.items() for item in (key, val)]
+        run = run_cli("design", *argv, cwd=tmp_path)
+        assert run.returncode == 2, (flag, run.stderr)
+        assert run.stderr.startswith(message), (flag, run.stderr)
+        assert run.stdout == b""

@@ -8,7 +8,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import scatter1d as s
+from scatter1d import engines
 from scatter1d.exact import numeric_leaf_copies
+from scatter1d.potentials import _cuts
 from scatter1d.transfer import IDENTITY
 from conftest import assert_close, corpus, rel_diff, smooth_corpus
 
@@ -240,6 +242,45 @@ class TestStructuralSolver:
         p = s.LocallyPeriodic(PERIODIC_CELLS["grating"][0], 50, 0.6)
         best = min(timeit.repeat(lambda: s.matrix_at(p, K_TEST, "auto", TOL), number=1, repeat=3))
         assert best < 0.05, best
+
+
+def solve_ivp_pieces(rhs, p, cuts, y0, tol):
+    """The driver's reference: solve_ivp's DOP853 from each cut to the next."""
+    y, xs, ys = np.asarray(y0, dtype=float), [], []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        sol = solve_ivp(lambda x, y: rhs(x, y, p.evaluate(x)), (lo, hi), y,
+                        method="DOP853", rtol=tol, atol=tol * 1e-3)
+        assert sol.success, sol.message
+        xs.append(sol.t)
+        ys.append(sol.y)
+        y = sol.y[:, -1]
+    return np.concatenate(xs), np.concatenate(ys, axis=1)
+
+
+class TestOdeDriver:
+    @pytest.mark.parametrize("name", ["grating", "smis", "sampled_bump"])
+    @pytest.mark.parametrize("equation", ["schrodinger", "s_curve"])
+    def test_steps_as_solve_ivp(self, name, equation):
+        p, k, tol = corpus()[name], K_TEST, 1e-9
+        a, b = p.support()
+        inner = [x for x in p.internal_boundaries() if a < x < b]
+        cuts = _cuts([a, *inner, b], p.interpolation_nodes()).tolist()
+        if equation == "schrodinger":
+            rhs, y0 = engines._schrodinger_rhs(k), [1.0, 0.0, 0.0, k, 0.0, 0.0, 0.0, 0.0]
+        else:
+            rhs, y0 = engines._s_curve_rhs(k), [1.0, 0.0, 0.0, -2 * k, 0.0, 0.0]
+        x, y = engines._integrate_pieces(rhs, p, cuts, y0, tol, lambda x, y: y)
+        x_ref, y_ref = solve_ivp_pieces(rhs, p, cuts, y0, tol)
+        assert np.array_equal(x, x_ref)
+        assert np.array_equal(y, y_ref)
+
+    def test_blow_up_raises(self):
+        # y' = y^2, y(0) = 1 is 1/(1 - x): the step size collapses at x = 1
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="integration failed: Required step size"):
+            engines._integrate_pieces(
+                lambda x, y, v: y * y, s.zero_potential(), [0.0, 2.0], [1.0], 1e-8,
+                lambda x, y: y,
+            )
 
 
 class TestScatteringSolution:
