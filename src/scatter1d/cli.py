@@ -19,6 +19,7 @@ import sys
 
 from . import approx as approx_mod
 from .design import (
+    DEFAULT_VERIFY_TOL,
     DesignError,
     DesignSpec,
     DesignVerificationError,
@@ -88,10 +89,19 @@ def _load_spec(path: str) -> Potential:
         raise CliParseError(f"cannot read potential spec {path!r}: {exc}") from exc
 
 
+def _check_numbers(args) -> None:
+    """Refuse the numbers no solver can use: k, k-min, k-max, tol and
+    verify-tol must be finite and positive, and a scan grid needs 2 points."""
+    for name in ("k", "k_min", "k_max", "tol", "verify_tol"):
+        value = getattr(args, name, None)
+        if value is not None and not 0 < value < math.inf:
+            raise CliParseError(f"{name.replace('_', '-')} must be positive and finite")
+    if getattr(args, "points", None) is not None and args.points < 2:
+        raise CliParseError("points must be at least 2")
+
+
 def cmd_solve(args) -> int:
     p = _load_spec(args.spec)
-    if args.k <= 0:
-        raise CliParseError("k must be positive")
     m = matrix_at(p, args.k, args.solver, args.tol)
     cls = classify(m)
     record = {
@@ -116,8 +126,8 @@ def cmd_solve(args) -> int:
 
 def cmd_scan(args) -> int:
     p = _load_spec(args.spec)
-    if not (0 < args.k_min < args.k_max):
-        raise CliParseError("need 0 < k-min < k-max")
+    if not args.k_min < args.k_max:
+        raise CliParseError("need k-min < k-max")
     points = args.points or default_scan_points(p, args.k_min, args.k_max)
     result = scan(p, args.k_min, args.k_max, points, solver=args.solver, tol=args.tol)
     write_scan_csv(result, args.out_csv)
@@ -128,8 +138,6 @@ def cmd_scan(args) -> int:
 
 def cmd_approx(args) -> int:
     p = _load_spec(args.spec)
-    if args.k <= 0:
-        raise CliParseError("k must be positive")
     record: dict = {"schema": "v1", "k": args.k}
     born = approx_mod.born_first(p, args.k)
     record["born_first"] = {
@@ -187,8 +195,6 @@ def cmd_design(args) -> int:
 
 def cmd_verify(args) -> int:
     p = _load_spec(args.spec)
-    if args.k <= 0:
-        raise CliParseError("k must be positive")
     data = matrix_at(p, args.k, args.solver, args.tol).amplitudes()
     targets = {
         "R_left": parse_complex(args.r_left),
@@ -259,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out-spec", help="potential JSON output (default: stdout)")
     sp.add_argument("--out-profile", help="sampled profile CSV (x, Re v, Im v)")
     sp.add_argument("--report", help="verification report JSON (default: stdout)")
-    sp.add_argument("--verify-tol", type=float, default=1e-6)
+    sp.add_argument("--verify-tol", type=float, default=DEFAULT_VERIFY_TOL)
     sp.set_defaults(func=cmd_design)
 
     sp = sub.add_parser("verify", help="re-check a spec against target amplitudes")
@@ -268,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r-left", required=True)
     sp.add_argument("--r-right", required=True)
     sp.add_argument("--t", required=True)
-    sp.add_argument("--verify-tol", type=float, default=1e-6)
+    sp.add_argument("--verify-tol", type=float, default=DEFAULT_VERIFY_TOL)
     sp.add_argument("--out")
     common_solver(sp)
     sp.set_defaults(func=cmd_verify)
@@ -279,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_numbers(args)
         return args.func(args)
     except (CliParseError, NotExactlySolvable) as exc:  # --solver exact with no closed form
         print(f"error: {exc}", file=sys.stderr)

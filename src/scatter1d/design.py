@@ -73,6 +73,8 @@ class DesignSpec:
     t: complex
 
     def __init__(self, k0, r_left, r_right, t):
+        if not math.isfinite(k0):
+            raise ValueError("k0 must be finite")
         if k0 <= 0:
             raise ValueError("k0 must be positive")
         if complex(t) == 0:
@@ -90,7 +92,7 @@ class DesignSpec:
 
 @dataclass(frozen=True)
 class InvisibleBlock:
-    """One unidirectionally invisible building block, forward-verified."""
+    """One unidirectionally invisible building block, S-curve-verified as built."""
 
     orientation: str            # 'right_invisible' | 'left_invisible'
     reflection: complex         # the realized nonzero amplitude at k0
@@ -101,23 +103,6 @@ class InvisibleBlock:
     @property
     def support(self) -> tuple[float, float]:
         return self.profile.support()
-
-    def conjugated(self) -> "InvisibleBlock":
-        """Time-reversed block: orientation flips, reflection maps to -conj(R)."""
-        prof = SmisProfile(
-            self.profile.k0,
-            self.profile.alpha,
-            self.profile.winding,
-            self.profile.translation,
-            not self.profile.conjugated,
-        )
-        flip = (
-            "left_invisible"
-            if self.orientation == "right_invisible"
-            else "right_invisible"
-        )
-        refl = -np.conj(self.reflection)
-        return InvisibleBlock(flip, refl, prof, _factor_for(flip, refl), self.residuals)
 
 
 def _factor_for(orientation: str, reflection: complex) -> np.ndarray:
@@ -259,9 +244,11 @@ def factor_matrices(spec: DesignSpec, rho: complex | None = None) -> list[np.nda
         F2 = [[1, R_r0/T0], [0, 1]],
         F3 = [[1, 0], [-rho*, 1]].
 
-    T0 = 1 collapses to [[1,0],[-R_l0,1]] then [[1,R_r0],[0,1]]; the doubly
-    reflectionless case uses the four-factor split with rho = 1/T0; factors
-    equal to the identity are dropped.
+    T0 = 1 collapses to [[1,0],[-R_l0,1]] then [[1,R_r0],[0,1]]; R_r0 = 0 !=
+    R_l0 takes the time reversals (sigma1 F* sigma1, so lower and upper swap)
+    of the factors of the time-reversed target, whose R_r is nonzero; the
+    doubly reflectionless case uses the four-factor split with rho = 1/T0;
+    factors equal to the identity are dropped.
     """
     t0, rl0, rr0 = spec.t, spec.r_left, spec.r_right
     unit_t = abs(t0 - 1.0) < 1e-14
@@ -280,9 +267,8 @@ def factor_matrices(spec: DesignSpec, rho: complex | None = None) -> list[np.nda
             rho_star = (t0 - 1.0) / rr0 if rho is None else complex(rho)
             factors = [lower(rho_star * t0 - rl0), upper(rr0 / t0), lower(-rho_star)]
     elif rl0 != 0:
-        # handled by time reversal in solve_single_mode; factor for reference
-        reversed_spec = _time_reversed_spec(spec)
-        factors = [time_reverse_stack(f) for f in factor_matrices(reversed_spec, rho)]
+        reversed_factors = factor_matrices(_time_reversed_spec(spec), rho)
+        factors = [time_reverse_stack(f) for f in reversed_factors]
     else:
         if unit_t:
             return []
@@ -297,13 +283,8 @@ def factor_matrices(spec: DesignSpec, rho: complex | None = None) -> list[np.nda
 
 
 def _time_reversed_spec(spec: DesignSpec) -> DesignSpec:
-    d = np.conj(spec.t**2 - spec.r_left * spec.r_right)
-    return DesignSpec(
-        spec.k0,
-        -np.conj(spec.r_right) / d,
-        -np.conj(spec.r_left) / d,
-        np.conj(spec.t) / d,
-    )
+    d = ScatteringData(spec.r_left, spec.r_right, spec.t, spec.k0).time_reversed()
+    return DesignSpec(spec.k0, d.r_left, d.r_right, d.t)
 
 
 # ---------------------------------------------------------------------------
@@ -339,15 +320,13 @@ class DesignResult:
 
 
 def _place_blocks(
-    spec: DesignSpec,
+    k0: float,
     factors: list[np.ndarray],
     start: float,
     gap: float,
     winding: int | None,
     verify_tol: float,
-    conjugate_all: bool,
 ) -> list[InvisibleBlock]:
-    k0 = spec.k0
     ell = math.pi / k0
     blocks: list[InvisibleBlock] = []
     cursor = start
@@ -361,8 +340,6 @@ def _place_blocks(
         block = builder(k0, target, winding, m_shift, verify_tol)
         blocks.append(block)
         cursor = block.support[1]
-    if conjugate_all:
-        blocks = [b.conjugated() for b in blocks]
     return blocks
 
 
@@ -372,16 +349,14 @@ def solve_single_mode(
     gap: float | None = None,
     start: float = 0.0,
     verify_tol: float = DEFAULT_VERIFY_TOL,
-    forward_verify: bool = True,
 ) -> DesignResult:
     """Emit a finite-range potential realizing the target amplitudes at k0.
 
-    Case split: R_r0 != 0 uses the three-factor (or two-factor at T0 = 1)
-    decomposition directly; R_r0 = 0 != R_l0 designs the time-reversed target
-    and conjugates the result; doubly reflectionless targets use the
-    four-factor split.  Blocks are placed left to right with positive gaps
-    (whole-period translations keep each block's amplitudes on target), and
-    the composed potential is forward-verified block by block with ``matrix_at``.
+    One block per factor of ``factor_matrices``: a right-invisible block for
+    each lower-triangular factor, a left-invisible one for each upper.  Every
+    block is S-curve-verified as built.  Blocks are placed left to right with
+    positive gaps (whole-period translations keep each block's amplitudes on
+    target), and the composed potential is forward-verified with ``matrix_at``.
     """
     k0 = spec.k0
     ell = math.pi / k0
@@ -389,12 +364,7 @@ def solve_single_mode(
     if gap <= 0:
         raise ValueError("gap must be positive (supports must stay disjoint)")
 
-    conjugate_all = spec.r_right == 0 and spec.r_left != 0
-    working = _time_reversed_spec(spec) if conjugate_all else spec
-    factors = factor_matrices(working)
-    blocks = _place_blocks(
-        working, factors, start, gap, winding, verify_tol, conjugate_all
-    )
+    blocks = _place_blocks(k0, factor_matrices(spec), start, gap, winding, verify_tol)
     potential = Sum([b.profile for b in blocks])
     target = spec.target_matrix().m
 
@@ -408,7 +378,7 @@ def solve_single_mode(
             f"factorization does not reproduce the target matrix: {alg_residual:.3e}"
         )
 
-    if forward_verify and blocks:
+    if blocks:
         m = matrix_at(potential, k0, "auto", verify_tol / 50)
         achieved = m.m
         residual = float(np.abs(achieved - target).max())

@@ -22,14 +22,18 @@ Three independent routes to the same scattering data:
   curves stay single-valued, with the left-reflection contour integral
   accumulated by the same stepper.
 
+Every engine cuts p at the same points: ``potentials._edges`` (support ends,
+internal boundaries, delta locations), which bound the dynamical engine's
+spans, plus every interpolation node, added by ``_cuts``.  No slice or step
+strides a kink: adaptive error control underestimates the error of a step
+that does, and a kink inside a slice breaks Richardson's even expansion.
+
 Both ODE routes keep their own equations and read-outs but step through one
 driver, ``_integrate_pieces``: DOP853 from each cut to the next, with a hook
-at every cut for delta jumps and per-piece bookkeeping.  The cuts include
-every interpolation node: adaptive error control underestimates the error of
-a step that strides a kink of sampled data.  The stepper takes scipy's DOP853
-steps exactly, with scipy's tableau and step control, but the right-hand
-sides take v as an argument: v depends on x alone, so each step attempt
-evaluates it once, at all of its stage abscissae.
+at every cut for delta jumps and per-piece bookkeeping.  The stepper takes
+scipy's DOP853 steps exactly, with scipy's tableau and step control, but the
+right-hand sides take v as an argument: v depends on x alone, so each step
+attempt evaluates it once, at all of its stage abscissae.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import numpy as np
 from scipy.integrate import DOP853
 
 from .exact import barrier_slice_matrices, delta_matrices
-from .potentials import Potential, _cuts, _slices
+from .potentials import Potential, _cuts, _edges, _slices
 from .transfer import (
     IDENTITY,
     KMAT,
@@ -108,26 +112,6 @@ class EffectiveHamiltonian:
         return -self.k * SIGMA3
 
 
-# ---------------------------------------------------------------------------
-# Segmentation shared by the engines
-# ---------------------------------------------------------------------------
-
-
-def _segments(p: Potential) -> tuple[list[tuple[float, float]], list]:
-    """Smooth spans (between support edges/breakpoints/deltas) and sorted deltas."""
-    a, b = p.support()
-    deltas = sorted(p.delta_terms(), key=lambda t: t.location)
-    cuts = {a, b}
-    cuts.update(x for x in p.internal_boundaries() if a <= x <= b)
-    cuts.update(t.location for t in deltas)
-    edges = sorted(cuts)
-    scale = max(abs(a), abs(b), 1.0)
-    spans = [
-        (lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi - lo > 1e-14 * scale
-    ]
-    return spans, deltas
-
-
 def _span_is_active(p: Potential, lo: float, hi: float) -> bool:
     probe = np.linspace(lo, hi, 9)[1:-1]
     return bool(np.any(p.evaluate(probe) != 0))
@@ -160,14 +144,16 @@ def transfer_matrix_dynamical(
     one would give.
     """
     ks = np.atleast_1d(np.asarray(k, dtype=float)).ravel()
-    if np.any(ks <= 0):
-        raise ValueError("k must be positive")
-    spans, deltas = _segments(p)
-    active = [(lo, hi) for lo, hi in spans if _span_is_active(p, lo, hi)]
+    if not np.all((ks > 0) & (ks < np.inf)):
+        raise ValueError("k must be positive and finite")
+    edges = _edges(p).tolist()
+    scale = max(abs(edges[0]), abs(edges[-1]), 1.0)
+    active = [
+        (lo, hi) for lo, hi in zip(edges[:-1], edges[1:])
+        if hi - lo > 1e-14 * scale and _span_is_active(p, lo, hi)
+    ]
     total_len = sum(hi - lo for lo, hi in active)
-    pieces: list[tuple[float, np.ndarray]] = []
-    for z, a in deltas:
-        pieces.append((a, delta_matrices(z, a, ks)))
+    pieces = [(a, delta_matrices(z, a, ks)) for z, a in p.delta_terms()]
     if active:
         nodes = p.interpolation_nodes()
         seg_tol = tol / len(active)
@@ -408,15 +394,12 @@ def scattering_solution(
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     a, b = p.support()
-    spans, deltas = _segments(p)
-
     # merged delta strengths by location (a Sum may stack terms at one point)
     delta_at: dict[float, complex] = {}
-    for t in deltas:
-        delta_at[t.location] = delta_at.get(t.location, 0.0) + t.strength
+    for z, x in p.delta_terms():
+        delta_at[x] = delta_at.get(x, 0.0) + z
 
-    edges = [a, *(lo for lo, _ in spans), *(hi for _, hi in spans), *delta_at, b]
-    checkpoints = _cuts(edges, p.interpolation_nodes()).tolist()
+    checkpoints = _cuts(_edges(p), p.interpolation_nodes()).tolist()
     backward = side == "left"
     if backward:
         checkpoints = checkpoints[::-1]
@@ -579,8 +562,7 @@ def s_curve_solve(
 
     z_minus = np.exp(-2j * k * a)
     y0 = [z_minus.real, z_minus.imag, (-2j * k * z_minus).real, (-2j * k * z_minus).imag, 0.0, 0.0]
-    edges = [a, *(x for x in p.internal_boundaries() if a < x < b), b]
-    cuts = _cuts(edges, p.interpolation_nodes()).tolist()
+    cuts = _cuts(_edges(p), p.interpolation_nodes()).tolist()
     x_all, y_all = _integrate_pieces(_s_curve_rhs(k), p, cuts, y0, tol, lambda x, y: y)
     s_end, sp_end, r_left = (y_all[j, -1] + 1j * y_all[j + 1, -1] for j in (0, 2, 4))
     s_all = y_all[0] + 1j * y_all[1]

@@ -7,9 +7,9 @@ terms are never sampled numerically; downstream solvers splice their exact
 transfer matrices instead.
 
 Fourier and ordered double transforms with no closed form take one route,
-``_richardson_filon``: a Richardson-refined Filon quadrature cut by ``_cuts``
-where the engines cut, at every support edge, internal boundary and
-interpolation node.
+``_richardson_filon``: a Richardson-refined Filon quadrature cut where the
+engines cut, at the ``_edges`` (support ends, internal boundaries, delta
+locations) and, through ``_cuts``, at every interpolation node.
 
 Units: hbar = 1, lengths dimensionless, wavenumbers in inverse length.
 """
@@ -178,6 +178,14 @@ def _filon_prefix(x: np.ndarray, y: np.ndarray, kappa: float) -> np.ndarray:
     return out
 
 
+def _edges(p: Potential) -> np.ndarray:
+    """Sorted unique support ends, internal boundaries inside the support,
+    and delta locations: the points where every solver cuts p."""
+    a, b = p.support()
+    inside = [x for x in p.internal_boundaries() if a <= x <= b]
+    return np.unique([a, b, *inside, *(t.location for t in p.delta_terms())])
+
+
 def _cuts(edges, nodes: np.ndarray) -> np.ndarray:
     """The edges, sorted and unique, plus the interpolation nodes strictly
     between edges[0] and edges[-1], which must be the outermost two.
@@ -210,10 +218,8 @@ def _richardson_filon(p: Potential, rule, tol: float, name: str) -> complex:
     it 4th order, and two successive Richardson values that agree within tol
     are accepted.
     """
-    a, b = p.support()
     # the cuts plus 64 equal cells of the support, so that no cell starts wide
-    edges = [a, *p.internal_boundaries(), *np.linspace(a, b, 65), b]
-    cells = _cuts(edges, p.interpolation_nodes())
+    cells = _cuts(np.union1d(_edges(p), np.linspace(*p.support(), 65)), p.interpolation_nodes())
     m = 1
     prev = prev_rich = None
     while 2 * (cells.size - 1) * m <= QUADRATURE_POINTS:

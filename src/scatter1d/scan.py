@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -23,6 +23,9 @@ from .engines import scattering_solution, transfer_matrix_dynamical
 from .exact import numeric_leaf_copies, structural_matrix
 from .potentials import Potential, TimeReversed
 from .transfer import (
+    DEFAULT_ZERO_TOL,
+    ENTRY_INDEX,
+    ENTRY_NAMES,
     Classification,
     ScatteringData,
     SpectralSingularityError,
@@ -45,9 +48,6 @@ __all__ = [
     "singular_summary",
 ]
 
-ENTRY_NAMES = ("M11", "M12", "M21", "M22")
-ENTRY_INDEX = {"M11": (0, 0), "M12": (0, 1), "M21": (1, 0), "M22": (1, 1)}
-DEFAULT_ZERO_TOL = 1e-8
 REFINE_TRIGGER = 1e-2  # refine local minima with |entry| below this times ||M||
 
 
@@ -79,8 +79,8 @@ def matrix_at(
     if solver not in ("exact", "dynamical", "auto"):
         raise ValueError(f"unknown solver {solver!r}")
     ks = np.atleast_1d(np.asarray(k, dtype=float)).ravel()
-    if np.any(ks <= 0):
-        raise ValueError("k must be positive")
+    if not np.all((ks > 0) & (ks < np.inf)):
+        raise ValueError("k must be positive and finite")
     if solver == "dynamical":
         m = transfer_matrix_dynamical(p, ks, tol)
     elif solver == "exact":
@@ -236,16 +236,9 @@ def _pair_self_dual(points: list[SingularPoint], dk: float) -> list[SingularPoin
             if b.entry != "M11":
                 continue
             if abs(a.k_star - b.k_star) <= max(dk, 1e-9 * a.k_star):
-                out[i] = _with_partner(a, b.k_star)
-                out[j] = _with_partner(b, a.k_star)
+                out[i] = replace(a, self_dual_partner=b.k_star)
+                out[j] = replace(b, self_dual_partner=a.k_star)
     return out
-
-
-def _with_partner(sp: SingularPoint, partner: float) -> SingularPoint:
-    return SingularPoint(
-        sp.entry, sp.k_star, sp.residual, sp.matrix, sp.classification,
-        sp.cpa_ratio, sp.bracket, sp.verified_residual, partner,
-    )
 
 
 def refine_zero(

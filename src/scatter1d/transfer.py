@@ -58,6 +58,8 @@ IDENTITY = np.eye(2, dtype=complex)
 
 DEFAULT_ZERO_TOL = 1e-8          # classification threshold, relative to ||M||
 AMPLITUDE_ZERO_TOL = 1e-12       # |M22| threshold below which amplitudes are refused
+ENTRY_NAMES = ("M11", "M12", "M21", "M22")
+ENTRY_INDEX = {"M11": (0, 0), "M12": (0, 1), "M21": (1, 0), "M22": (1, 1)}
 
 
 def propagation_matrix(k: float, x: float) -> np.ndarray:
@@ -126,7 +128,7 @@ class TransferMatrix:
 
     def entry(self, name: str) -> complex:
         try:
-            return {"M11": self.m11, "M12": self.m12, "M21": self.m21, "M22": self.m22}[name]
+            return complex(self.m[ENTRY_INDEX[name]])
         except KeyError:
             raise ValueError(f"unknown entry {name!r}; use M11/M12/M21/M22") from None
 
@@ -300,6 +302,12 @@ def time_reverse_stack(m: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(m)[..., ::-1, ::-1])
 
 
+FLAG_NAMES = (   # the Classification flags, in output order
+    "spectral_singularity", "time_reversed_ss", "self_dual", "left_reflectionless",
+    "right_reflectionless", "left_invisible", "right_invisible",
+)
+
+
 @dataclass(frozen=True)
 class Classification:
     """Real-k zero structure of the transfer-matrix entries.
@@ -323,22 +331,10 @@ class Classification:
     zero_tol: float
 
     def flags(self) -> tuple[str, ...]:
-        names = (
-            "spectral_singularity",
-            "time_reversed_ss",
-            "self_dual",
-            "left_reflectionless",
-            "right_reflectionless",
-            "left_invisible",
-            "right_invisible",
-        )
-        return tuple(n for n in names if getattr(self, n))
+        return tuple(n for n in FLAG_NAMES if getattr(self, n))
 
     def to_dict(self) -> dict:
-        d = {n: bool(getattr(self, n)) for n in (
-            "spectral_singularity", "time_reversed_ss", "self_dual",
-            "left_reflectionless", "right_reflectionless",
-            "left_invisible", "right_invisible")}
+        d = {n: bool(getattr(self, n)) for n in FLAG_NAMES}
         d["cpa_ratio"] = (
             None if self.cpa_ratio is None else [self.cpa_ratio.real, self.cpa_ratio.imag]
         )

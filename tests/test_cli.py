@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import scatter1d as s
+from scatter1d import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -67,3 +70,35 @@ def test_design_usage_errors_print_their_own_message(tmp_path):
         assert run.returncode == 2, (flag, run.stderr)
         assert run.stderr.startswith(message), (flag, run.stderr)
         assert run.stdout == b""
+
+
+SCAN = ["scan", "--spec", "grating.json", "--k-min", "0.5", "--k-max", "1.0",
+        "--out-csv", "scan.csv"]
+DESIGN = ["design", "--k0", "1.0", "--r-left", "0.1,0", "--r-right", "0.2,0", "--t", "1,0.1"]
+NUMBER_ERRORS = {   # argparse keeps the last of a repeated option
+    "points_one": (SCAN + ["--points", "1"], "points must be at least 2"),
+    "points_negative": (SCAN + ["--points", "-3"], "points must be at least 2"),
+    "points_zero": (SCAN + ["--points", "0"], "points must be at least 2"),
+    "k_max_inf": (SCAN + ["--k-max", "inf"], "k-max must be positive and finite"),
+    "k_nan_grating": (["solve", "--spec", "grating.json", "--k", "nan"],
+                      "k must be positive and finite"),
+    "k_nan_delta": (["solve", "--spec", "delta.json", "--k", "nan"],
+                    "k must be positive and finite"),
+    "tol_zero": (["solve", "--spec", "grating.json", "--k", "1.0", "--tol", "0"],
+                 "tol must be positive and finite"),
+    "verify_tol_negative": (DESIGN + ["--verify-tol=-1e-6"],
+                            "verify-tol must be positive and finite"),
+    "k0_nan": (DESIGN + ["--k0", "nan"], "k0 must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", NUMBER_ERRORS)
+def test_unusable_numbers_are_usage_errors(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    s.save_potential(s.ExpGrating(0.3, 1, 2.0), "grating.json")
+    s.save_potential(s.DeltaComb([(0.8 + 0.4j, 0.2)]), "delta.json")
+    argv, message = NUMBER_ERRORS[case]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {message}\n"
+    assert out == ""

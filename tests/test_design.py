@@ -69,3 +69,14 @@ def test_design_meets_five_verify_tol(name):
     got = s.matrix_at(result.potential, K0, "auto", 1e-10).amplitudes()
     for have, want in [(got.r_left, spec.r_left), (got.r_right, spec.r_right), (got.t, spec.t)]:
         assert abs(have - want) <= 5 * VERIFY_TOL * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_block_residuals_are_its_own(name):
+    # each emitted block carries the S-curve residuals of its own profile
+    result = d.solve_single_mode(SPECS[name], verify_tol=VERIFY_TOL)
+    for block in result.blocks:
+        r = block.reflection
+        r_left, r_right = (r, 0) if block.orientation == "right_invisible" else (0, r)
+        expect = s.ScatteringData(r_left, r_right, 1.0, K0)
+        assert block.residuals == d._verify_block(block.profile, K0, expect, VERIFY_TOL)

@@ -141,3 +141,12 @@ def test_failed_wavenumber_records_its_own_error(monkeypatch):
             else:
                 assert pt.error is None and rel_diff(pt.matrix.m, one.m) <= 1e-13
         assert 0 < errors < len(grid)
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, np.array([1.0, math.nan])])
+def test_non_finite_k_is_refused(k):
+    grating = s.ExpGrating(0.3, 1, 2.0)
+    with pytest.raises(ValueError, match="finite"):
+        s.matrix_at(grating, k)
+    with pytest.raises(ValueError, match="finite"):
+        s.transfer_matrix_dynamical(grating, k)
