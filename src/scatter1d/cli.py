@@ -55,18 +55,22 @@ class CliParseError(ValueError):
 
 
 def parse_complex(text: str) -> complex:
-    """Strict complex parsing: 're,im' or 'mag@degphase'."""
+    """Strict complex parsing: 're,im' or 'mag@degphase', finite only."""
     text = text.strip()
     try:
         if "@" in text:
             mag_s, ang_s = text.split("@", 1)
-            return complex(float(mag_s)) * cmath.exp(1j * math.radians(float(ang_s)))
-        if "," in text:
+            z = complex(float(mag_s)) * cmath.exp(1j * math.radians(float(ang_s)))
+        elif "," in text:
             re_s, im_s = text.split(",", 1)
-            return complex(float(re_s), float(im_s))
-        return complex(float(text))
+            z = complex(float(re_s), float(im_s))
+        else:
+            z = complex(float(text))
     except ValueError as exc:
         raise CliParseError(f"cannot parse complex number {text!r}: {exc}") from exc
+    if not cmath.isfinite(z):
+        raise CliParseError(f"complex number {text!r} must be finite")
+    return z
 
 
 def _cnum(z: complex) -> list[float]:
@@ -138,6 +142,7 @@ def cmd_scan(args) -> int:
 
 def cmd_approx(args) -> int:
     p = _load_spec(args.spec)
+    reference = matrix_at(p, args.k, args.solver, args.tol)
     record: dict = {"schema": "v1", "k": args.k}
     born = approx_mod.born_first(p, args.k)
     record["born_first"] = {
@@ -153,7 +158,7 @@ def cmd_approx(args) -> int:
             "T": _cnum(rep.data.t),
         }
     try:
-        exact = matrix_at(p, args.k, "auto", args.tol).amplitudes()
+        exact = reference.amplitudes()
         record["reference"] = {
             "R_left": _cnum(exact.r_left),
             "R_right": _cnum(exact.r_right),
@@ -195,12 +200,12 @@ def cmd_design(args) -> int:
 
 def cmd_verify(args) -> int:
     p = _load_spec(args.spec)
-    data = matrix_at(p, args.k, args.solver, args.tol).amplitudes()
     targets = {
         "R_left": parse_complex(args.r_left),
         "R_right": parse_complex(args.r_right),
         "T": parse_complex(args.t),
     }
+    data = matrix_at(p, args.k, args.solver, args.tol).amplitudes()
     got = {"R_left": data.r_left, "R_right": data.r_right, "T": data.t}
     residuals = {
         name: abs(got[name] - want) for name, want in targets.items()

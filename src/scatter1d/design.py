@@ -16,12 +16,14 @@ a = (phi0 + pi/2 + 2 pi m) / (2 k0) rotates the phase onto the target.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engines import s_curve_solve
+from .engines import transfer_matrix_dynamical
+from .exact import structural_matrix
 from .potentials import Potential, SmisProfile, Sum
 from .scan import matrix_at
 from .transfer import (
@@ -77,6 +79,8 @@ class DesignSpec:
             raise ValueError("k0 must be finite")
         if k0 <= 0:
             raise ValueError("k0 must be positive")
+        if not all(cmath.isfinite(complex(z)) for z in (r_left, r_right, t)):
+            raise ValueError("target amplitudes must be finite")
         if complex(t) == 0:
             raise ValueError("zero transmission unrealizable (T never vanishes)")
         object.__setattr__(self, "k0", float(k0))
@@ -92,7 +96,8 @@ class DesignSpec:
 
 @dataclass(frozen=True)
 class InvisibleBlock:
-    """One unidirectionally invisible building block, S-curve-verified as built."""
+    """One unidirectionally invisible building block, with the residuals of
+    its amplitudes at k0 from the dynamical engine."""
 
     orientation: str            # 'right_invisible' | 'left_invisible'
     reflection: complex         # the realized nonzero amplitude at k0
@@ -148,10 +153,12 @@ def default_winding(magnitude: float, alpha_max: float = DEFAULT_ALPHA_MAX) -> i
     return max(1, math.ceil(c_needed * magnitude / (4.0 * np.pi)))
 
 
-def _verify_block(
-    profile: SmisProfile, k0: float, expect: ScatteringData, verify_tol: float
+def _block_residuals(
+    m: TransferMatrix, expect: ScatteringData, verify_tol: float
 ) -> dict[str, float]:
-    got, _ = s_curve_solve(profile, k0, tol=min(1e-11, verify_tol * 1e-3))
+    """Residuals of the amplitudes of a block's matrix m against its target;
+    DesignVerificationError past verify_tol (relative to |R| above 1) or on NaN."""
+    got = m.amplitudes()
     residuals = {
         "r_left": abs(got.r_left - expect.r_left),
         "r_right": abs(got.r_right - expect.r_right),
@@ -162,8 +169,7 @@ def _verify_block(
         "r_right": verify_tol * max(1.0, abs(expect.r_right)),
         "t": verify_tol,
     }
-    bad = {k: v for k, v in residuals.items() if v > limits[k]}
-    if bad:
+    if not all(v <= limits[k] for k, v in residuals.items()):
         raise DesignVerificationError("block verification failed", residuals)
     return residuals
 
@@ -180,8 +186,12 @@ def build_right_invisible(
     The translation a = (phi0 + pi/2 + 2 pi m)/(2 k0) turns the block's
     intrinsic -i phase onto the target phase phi0; integer m relocates the
     support in whole periods ell = pi/k0 without touching the amplitudes.
+    The block is checked on the amplitudes of
+    ``matrix_at(profile, k0, "auto", verify_tol / 50)``, the dynamical engine.
     """
-    return _build_invisible(k0, r_left_target, winding, m, verify_tol, conjugated=False)
+    profile = _invisible_profile(k0, r_left_target, winding, m, conjugated=False)
+    matrix = matrix_at(profile, k0, "auto", verify_tol / 50)
+    return _checked_block(profile, r_left_target, matrix, verify_tol)
 
 
 def build_left_invisible(
@@ -195,8 +205,12 @@ def build_left_invisible(
 
     Built as the time reversal (pointwise conjugate) of the right-invisible
     block for R_l = -conj(R_r_target), which maps (R_l, 0, 1) to (0, -R_l*, 1).
+    The block is checked on the amplitudes of
+    ``matrix_at(profile, k0, "auto", verify_tol / 50)``, the dynamical engine.
     """
-    return _build_invisible(k0, r_right_target, winding, m, verify_tol, conjugated=True)
+    profile = _invisible_profile(k0, r_right_target, winding, m, conjugated=True)
+    matrix = matrix_at(profile, k0, "auto", verify_tol / 50)
+    return _checked_block(profile, r_right_target, matrix, verify_tol)
 
 
 def _translation(k0: float, reflection: complex, m: int, conjugated: bool) -> float:
@@ -207,25 +221,28 @@ def _translation(k0: float, reflection: complex, m: int, conjugated: bool) -> fl
     return (phi0 + math.pi / 2 + 2 * math.pi * m) / (2 * k0)
 
 
-def _build_invisible(
-    k0: float,
-    reflection: complex,
-    winding: int | None,
-    m: int,
-    verify_tol: float,
-    conjugated: bool,
-) -> InvisibleBlock:
-    """The right-invisible block for R_l = reflection, or (conjugated) the
-    left-invisible block for R_r = reflection, its time reversal."""
+def _invisible_profile(
+    k0: float, reflection: complex, winding: int | None, m: int, conjugated: bool
+) -> SmisProfile:
+    """The right-invisible profile for R_l = reflection, or (conjugated) the
+    left-invisible profile for R_r = reflection, its time reversal."""
     target = complex(reflection)
     if target == 0:
         raise ValueError(f"target {'right' if conjugated else 'left'} reflection must be nonzero")
     n = default_winding(abs(target)) if winding is None else int(winding)
     alpha = alpha_for_reflection(abs(target), n)
-    profile = SmisProfile(k0, alpha, n, _translation(k0, target, m, conjugated), conjugated)
-    orientation = "left_invisible" if conjugated else "right_invisible"
-    r_left, r_right = (0.0, target) if conjugated else (target, 0.0)
-    residuals = _verify_block(profile, k0, ScatteringData(r_left, r_right, 1.0, k0), verify_tol)
+    return SmisProfile(k0, alpha, n, _translation(k0, target, m, conjugated), conjugated)
+
+
+def _checked_block(
+    profile: SmisProfile, reflection: complex, m: TransferMatrix, verify_tol: float
+) -> InvisibleBlock:
+    """The block of a profile whose transfer matrix at k0 is m, checked
+    against (reflection, 0, 1) when right-invisible, (0, reflection, 1) when left."""
+    target = complex(reflection)
+    orientation = "left_invisible" if profile.conjugated else "right_invisible"
+    r_left, r_right = (0.0, target) if profile.conjugated else (target, 0.0)
+    residuals = _block_residuals(m, ScatteringData(r_left, r_right, 1.0, m.k), verify_tol)
     return InvisibleBlock(orientation, target, profile, _factor_for(orientation, target), residuals)
 
 
@@ -325,22 +342,22 @@ def _place_blocks(
     start: float,
     gap: float,
     winding: int | None,
-    verify_tol: float,
-) -> list[InvisibleBlock]:
+) -> list[tuple[SmisProfile, complex]]:
+    """One (profile, reflection) per factor, left to right, each support
+    starting at least gap after the previous one ends."""
     ell = math.pi / k0
-    blocks: list[InvisibleBlock] = []
+    placed: list[tuple[SmisProfile, complex]] = []
     cursor = start
     for f in factors:
         lower = abs(f[1, 0]) > 0  # lower triangular -> right-invisible block
         target = -complex(f[1, 0]) if lower else complex(f[0, 1])
-        builder = build_right_invisible if lower else build_left_invisible
         # a block's support starts at its translation a0 + m_shift * ell
         a0 = _translation(k0, target, 0, conjugated=not lower)
         m_shift = max(0, math.ceil((cursor + gap - a0) / ell))
-        block = builder(k0, target, winding, m_shift, verify_tol)
-        blocks.append(block)
-        cursor = block.support[1]
-    return blocks
+        profile = _invisible_profile(k0, target, winding, m_shift, conjugated=not lower)
+        placed.append((profile, target))
+        cursor = profile.support()[1]
+    return placed
 
 
 def solve_single_mode(
@@ -353,10 +370,12 @@ def solve_single_mode(
     """Emit a finite-range potential realizing the target amplitudes at k0.
 
     One block per factor of ``factor_matrices``: a right-invisible block for
-    each lower-triangular factor, a left-invisible one for each upper.  Every
-    block is S-curve-verified as built.  Blocks are placed left to right with
-    positive gaps (whole-period translations keep each block's amplitudes on
-    target), and the composed potential is forward-verified with ``matrix_at``.
+    each lower-triangular factor, a left-invisible one for each upper.  Blocks
+    are placed left to right with positive gaps (whole-period translations
+    keep each block's amplitudes on target).  The composed potential is
+    forward-verified with ``matrix_at(potential, k0, "auto", verify_tol / 50)``,
+    which solves each block once with the dynamical engine; every block is
+    checked on its own matrix from that solve.
     """
     k0 = spec.k0
     ell = math.pi / k0
@@ -364,25 +383,39 @@ def solve_single_mode(
     if gap <= 0:
         raise ValueError("gap must be positive (supports must stay disjoint)")
 
-    blocks = _place_blocks(k0, factor_matrices(spec), start, gap, winding, verify_tol)
-    potential = Sum([b.profile for b in blocks])
+    placed = _place_blocks(k0, factor_matrices(spec), start, gap, winding)
+    potential = Sum([profile for profile, _ in placed])
     target = spec.target_matrix().m
+    scale = max(1.0, float(np.abs(target).max()))
 
-    if blocks:
+    blocks: list[InvisibleBlock] = []
+    if placed:
+        # matrix_at's 'auto' pass, keeping each block's leaf matrix
+        ks = np.array([k0])
+        leaf_tol = verify_tol / 50 / len(placed)
+        leaves: dict[int, np.ndarray] = {}
+
+        def leaf(q: Potential) -> np.ndarray:
+            leaves[id(q)] = out = transfer_matrix_dynamical(q, ks, leaf_tol)
+            return out
+
+        achieved = structural_matrix(potential, ks, leaf)[0]
+        blocks = [
+            _checked_block(p, r, TransferMatrix(leaves[id(p)][0], k0), verify_tol)
+            for p, r in placed
+        ]
         achieved_alg = chain_product(np.stack([b.factor for b in blocks]))
     else:
         achieved_alg = np.eye(2, dtype=complex)
     alg_residual = float(np.abs(achieved_alg - target).max())
-    if alg_residual > 1e-10 * max(1.0, float(np.abs(target).max())):
+    if not alg_residual <= 1e-10 * scale:
         raise DesignError(
             f"factorization does not reproduce the target matrix: {alg_residual:.3e}"
         )
 
     if blocks:
-        m = matrix_at(potential, k0, "auto", verify_tol / 50)
-        achieved = m.m
         residual = float(np.abs(achieved - target).max())
-        if residual > 5 * verify_tol * max(1.0, float(np.abs(target).max())):
+        if not residual <= 5 * verify_tol * scale:
             raise DesignVerificationError(
                 "composed potential failed forward verification",
                 {"matrix_residual": residual},

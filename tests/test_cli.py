@@ -57,6 +57,17 @@ def test_verify_exact_without_closed_form_is_a_usage_error(tmp_path):
     assert run.stdout == b""
 
 
+@pytest.mark.parametrize("r_left", ["nan,0", "inf,0"])
+def test_non_finite_design_target_writes_nothing(r_left, tmp_path):
+    run = run_cli("design", "--k0", "1", "--r-left", r_left, "--r-right", "0,0", "--t", "1,0.1",
+                  "--out-spec", "design.json", cwd=tmp_path)
+    assert run.returncode == 2
+    assert run.stderr.startswith(b"error: ")
+    assert b"Traceback" not in run.stderr
+    assert run.stdout == b""
+    assert not (tmp_path / "design.json").exists()
+
+
 def test_design_usage_errors_print_their_own_message(tmp_path):
     base = {"--k0": "1.0", "--r-left": "0.1,0", "--r-right": "0.2,0", "--t": "1,0.1"}
     cases = [
@@ -75,6 +86,8 @@ def test_design_usage_errors_print_their_own_message(tmp_path):
 SCAN = ["scan", "--spec", "grating.json", "--k-min", "0.5", "--k-max", "1.0",
         "--out-csv", "scan.csv"]
 DESIGN = ["design", "--k0", "1.0", "--r-left", "0.1,0", "--r-right", "0.2,0", "--t", "1,0.1"]
+VERIFY = ["verify", "--spec", "grating.json", "--k", "1.0", "--r-left", "0,0", "--r-right", "0,0",
+          "--t", "1,0"]
 NUMBER_ERRORS = {   # argparse keeps the last of a repeated option
     "points_one": (SCAN + ["--points", "1"], "points must be at least 2"),
     "points_negative": (SCAN + ["--points", "-3"], "points must be at least 2"),
@@ -89,6 +102,14 @@ NUMBER_ERRORS = {   # argparse keeps the last of a repeated option
     "verify_tol_negative": (DESIGN + ["--verify-tol=-1e-6"],
                             "verify-tol must be positive and finite"),
     "k0_nan": (DESIGN + ["--k0", "nan"], "k0 must be finite"),
+    "r_left_nan": (DESIGN + ["--r-left", "nan,0", "--r-right", "0,0"],
+                   "complex number 'nan,0' must be finite"),
+    "t_inf": (DESIGN + ["--t", "inf"], "complex number 'inf' must be finite"),
+    "verify_t_nan": (VERIFY + ["--t", "nan"], "complex number 'nan' must be finite"),
+    "verify_r_right_inf": (VERIFY + ["--r-right", "inf@30"],
+                           "complex number 'inf@30' must be finite"),
+    "approx_exact_smis": (["approx", "--spec", "smis.json", "--k", "1.0", "--solver", "exact"],
+                          "no closed form for SmisProfile"),
 }
 
 
@@ -97,6 +118,7 @@ def test_unusable_numbers_are_usage_errors(case, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     s.save_potential(s.ExpGrating(0.3, 1, 2.0), "grating.json")
     s.save_potential(s.DeltaComb([(0.8 + 0.4j, 0.2)]), "delta.json")
+    s.save_potential(s.SmisProfile(1.0, 0.02, 2, 0.3), "smis.json")
     argv, message = NUMBER_ERRORS[case]
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()

@@ -1,6 +1,7 @@
 """Single-mode inverse design: factorization, block amplitudes, composed designs."""
 
 import cmath
+import sys
 
 import numpy as np
 import pytest
@@ -73,10 +74,61 @@ def test_design_meets_five_verify_tol(name):
 
 @pytest.mark.parametrize("name", SPECS)
 def test_block_residuals_are_its_own(name):
-    # each emitted block carries the S-curve residuals of its own profile
+    # each emitted block carries the residuals of its own dynamical-engine matrix,
+    # at the leaf tol of the forward verify
     result = d.solve_single_mode(SPECS[name], verify_tol=VERIFY_TOL)
+    leaf_tol = VERIFY_TOL / 50 / len(result.blocks)
     for block in result.blocks:
         r = block.reflection
         r_left, r_right = (r, 0) if block.orientation == "right_invisible" else (0, r)
         expect = s.ScatteringData(r_left, r_right, 1.0, K0)
-        assert block.residuals == d._verify_block(block.profile, K0, expect, VERIFY_TOL)
+        m = s.transfer_matrix_dynamical(block.profile, K0, leaf_tol)
+        assert block.residuals == d._block_residuals(m, expect, VERIFY_TOL)
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_achieved_is_the_forward_verify(name):
+    result = d.solve_single_mode(SPECS[name], verify_tol=VERIFY_TOL)
+    m = s.matrix_at(result.potential, K0, "auto", VERIFY_TOL / 50).m
+    assert np.array_equal(result.achieved, m)
+
+
+def test_design_makes_no_s_curve_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("s_curve_solve called")
+
+    original = s.engines.s_curve_solve
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "scatter1d":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, refuse)
+    for spec in SPECS.values():
+        d.solve_single_mode(spec, verify_tol=VERIFY_TOL)
+    d.build_right_invisible(K0, 0.3j, verify_tol=VERIFY_TOL)
+    d.build_left_invisible(K0, 0.2, verify_tol=VERIFY_TOL)
+
+
+def test_perturbed_block_fails_verification(monkeypatch):
+    exact_alpha = d.alpha_for_reflection
+    calls = []
+
+    def off_alpha(magnitude, winding):   # the second block's alpha off by 1e-3 relative
+        calls.append(magnitude)
+        alpha = exact_alpha(magnitude, winding)
+        return alpha * (1 + 1e-3) if len(calls) == 2 else alpha
+
+    monkeypatch.setattr(d, "alpha_for_reflection", off_alpha)
+    with pytest.raises(d.DesignVerificationError, match="block verification failed"):
+        d.solve_single_mode(SPECS["general"], verify_tol=VERIFY_TOL)
+    monkeypatch.setattr(d, "alpha_for_reflection", lambda m, n: exact_alpha(m, n) * (1 + 1e-3))
+    with pytest.raises(d.DesignVerificationError, match="block verification failed"):
+        d.build_right_invisible(K0, 0.3 * cmath.exp(1j), verify_tol=VERIFY_TOL)
+
+
+@pytest.mark.parametrize("amplitude", ["r_left", "r_right", "t"])
+@pytest.mark.parametrize("bad", [complex("nan"), complex(0, float("inf"))])
+def test_non_finite_target_is_refused(amplitude, bad):
+    amps = {"r_left": 0.1, "r_right": 0.2, "t": 1.0, amplitude: bad}
+    with pytest.raises(ValueError, match="target amplitudes must be finite"):
+        d.DesignSpec(K0, **amps)
