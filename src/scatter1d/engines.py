@@ -4,14 +4,16 @@ Three independent routes to the same scattering data:
 
 * ``transfer_matrix_dynamical`` treats the transfer matrix as the propagator
   of an effective two-level system, i d/dx M_x = H(x) M_x, and advances it by
-  piecewise-constant slicing with the exact per-slice barrier propagator;
-  delta terms are spliced in exactly.  The midpoint slice product is
-  symmetric, so its error is even in the slice width and one Richardson step
-  (4 M_2n - M_n)/3 makes it 4th order.  The error is estimated from
-  successive Richardson values, and sampled data are sliced on whole
-  interpolation cells, so no slice straddles a kink and no two slice counts
-  can agree by aliasing.  k is a batch axis: an array of k is solved in
-  array passes that share the slicing and the values of v among the k at
+  fourth-order Magnus slices: v at the two Gauss points of each slice, the
+  exact barrier propagator of their mean plus the one sigma1 commutator term
+  of their difference, at the cost of a barrier; delta terms are spliced in
+  exactly.  The slice product is symmetric, so its error is even in the
+  slice width, and a Romberg table over the doubling levels eliminates the
+  h^4, h^6, ... terms.  The error is estimated from the table's newest
+  diagonal entry and its left neighbour, and sampled data are sliced on
+  whole interpolation cells, so no slice straddles a kink and no two slice
+  counts can agree by aliasing.  k is a batch axis: an array of k is solved
+  in array passes that share the slicing and the values of v among the k at
   the same slice count, each k keeping its own start count and acceptance.
 * ``scattering_solution``/``ls_amplitudes`` integrate the stationary wave
   equation psi'' = (v - k^2) psi with outgoing boundary data and read the
@@ -26,7 +28,9 @@ Every engine cuts p at the same points: ``potentials._edges`` (support ends,
 internal boundaries, delta locations), which bound the dynamical engine's
 spans, plus every interpolation node, added by ``_cuts``.  No slice or step
 strides a kink: adaptive error control underestimates the error of a step
-that does, and a kink inside a slice breaks Richardson's even expansion.
+that does, and a kink inside a slice breaks the even error expansion that
+the dynamical engine's Romberg table and the Filon quadratures' Richardson
+step rely on.
 
 Both ODE routes keep their own equations and read-outs but step through one
 driver, ``_integrate_pieces``: DOP853 from each cut to the next, with a hook
@@ -73,8 +77,8 @@ __all__ = [
 class ToleranceNotReached(RuntimeError):
     """The dynamical engine cannot vouch for its tolerance.
 
-    Raised when slice refinement hits the cap before two successive
-    Richardson values agree within tol.
+    Raised when slice refinement hits the cap before the newest diagonal
+    entry of the Romberg table agrees with its left neighbour within tol.
     """
 
 
@@ -112,8 +116,13 @@ class EffectiveHamiltonian:
         return -self.k * SIGMA3
 
 
-def _span_is_active(p: Potential, lo: float, hi: float) -> bool:
-    probe = np.linspace(lo, hi, 9)[1:-1]
+def _span_is_active(p: Potential, cells: np.ndarray) -> bool:
+    """Whether v is nonzero inside the span cut into ``cells``: probed at 7
+    even points, at every interpolation node inside the span and at the
+    midpoint of every node cell, which decides a linear interpolant exactly."""
+    probe = np.concatenate([
+        np.linspace(cells[0], cells[-1], 9)[1:-1], cells[1:-1], 0.5 * (cells[:-1] + cells[1:])
+    ])
     return bool(np.any(p.evaluate(probe) != 0))
 
 
@@ -125,18 +134,21 @@ def _span_is_active(p: Potential, lo: float, hi: float) -> bool:
 def transfer_matrix_dynamical(
     p: Potential, k, tol: float = 1e-8, max_slices: int = 2**20
 ) -> TransferMatrix | np.ndarray:
-    """Transfer matrix by piecewise-constant slicing with Richardson extrapolation.
+    """Transfer matrix by fourth-order Magnus slicing with Romberg extrapolation.
 
-    Each slice is advanced with the exact barrier propagator evaluated at the
-    midpoint value of v.  Per smooth span the slice count doubles, each
-    product M_n is extrapolated to R_n = (4 M_2n - M_n)/3, and the span is
-    accepted once two successive Richardson values agree within tol (shared
-    out over the spans); the later, more accurate value is returned.  A
-    span on which v is constant is one exact barrier.  Sampled data are
-    sliced on whole interpolation cells (every node inside a span is a slice
-    edge), since a kink inside a slice breaks the even error expansion that
-    Richardson relies on.  Delta terms are spliced in via their exact
-    matrices.  det M = 1 holds to within tol, not exactly.
+    Each slice is advanced by ``barrier_slice_matrices`` with v at its two
+    Gauss points: their mean is the slice height and their difference the
+    tilt of the Magnus commutator term.  No Gauss point is ever a cut.  Per
+    smooth span the slice count doubles, the products enter a Romberg table
+    whose columns remove the h^4, h^6, ... error terms (weights 1/15, 1/63,
+    ...), and the span is accepted once the newest diagonal entry differs
+    from its left neighbour by no more than tol (shared out over the spans);
+    that diagonal entry is returned.  A span on which v is constant is one
+    exact barrier.  Sampled data are sliced on whole interpolation cells
+    (every node inside a span is a slice edge), since a kink inside a slice
+    breaks the even error expansion the table relies on.  Delta terms are
+    spliced in via their exact matrices.  det M = 1 holds to within tol, not
+    exactly.
 
     k is a batch axis: a scalar k gives a TransferMatrix, an array of k the
     stack of matrices, shape k.shape + (2, 2).  Every k keeps its own start
@@ -148,19 +160,19 @@ def transfer_matrix_dynamical(
         raise ValueError("k must be positive and finite")
     edges = _edges(p).tolist()
     scale = max(abs(edges[0]), abs(edges[-1]), 1.0)
-    active = [
-        (lo, hi) for lo, hi in zip(edges[:-1], edges[1:])
-        if hi - lo > 1e-14 * scale and _span_is_active(p, lo, hi)
+    nodes = p.interpolation_nodes()
+    spans = [
+        _cuts([lo, hi], nodes) for lo, hi in zip(edges[:-1], edges[1:]) if hi - lo > 1e-14 * scale
     ]
-    total_len = sum(hi - lo for lo, hi in active)
+    active = [cells for cells in spans if _span_is_active(p, cells)]
+    total_len = sum(cells[-1] - cells[0] for cells in active)
     pieces = [(a, delta_matrices(z, a, ks)) for z, a in p.delta_terms()]
     if active:
-        nodes = p.interpolation_nodes()
         seg_tol = tol / len(active)
         n_start_total = np.maximum(64, np.ceil(8 * ks * total_len / math.pi))
-    for lo, hi in active:
+    for cells in active:
+        lo, hi = cells[0], cells[-1]
         share = np.maximum(16, np.ceil(n_start_total * (hi - lo) / total_len)).astype(int)
-        cells = _cuts([lo, hi], nodes)
         pieces.append((lo, _refine_span(p, cells, ks, seg_tol, share, max_slices)))
     pieces.sort(key=lambda item: item[0])
     if pieces:
@@ -173,12 +185,19 @@ def transfer_matrix_dynamical(
 
 
 PASS_SLICES = 2**12   # slice matrices held by one pass over a batch of k
+GAUSS = 0.5 / math.sqrt(3.0)   # a slice's Gauss points sit at its midpoint -+ GAUSS * width
+
+
+def _gauss_points(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The two Gauss points of every slice, in order: shape (2 * slices,)."""
+    mid, half = 0.5 * (left + right), GAUSS * (right - left)
+    return np.stack([mid - half, mid + half], axis=-1).ravel()
 
 
 def _refine_span(
     p: Potential, cells: np.ndarray, k: np.ndarray, tol: float, n_start: np.ndarray, cap: int
 ) -> np.ndarray:
-    """Richardson-refined matrices (K, 2, 2) of one span for a batch of k,
+    """Romberg-refined matrices (K, 2, 2) of one span for a batch of k,
     each k from its own start count n_start."""
     out = np.empty(k.shape + (2, 2), dtype=complex)
     for start in np.unique(n_start):
@@ -192,37 +211,38 @@ def _refine_group(
 ) -> np.ndarray:
     """``_refine_span`` for k that share a start count: every level slices
     once and evaluates v once for all of them, and a k leaves the batch
-    once its Richardson values agree."""
+    once its Romberg table converges."""
     lo, hi = float(cells[0]), float(cells[-1])
     n_cells = cells.size - 1
     m = -(-n_start // n_cells)
     out = np.empty(k.shape + (2, 2), dtype=complex)
     todo = np.arange(k.size)
-    prev_prod = prev_rich = None
+    row = []   # the previous row of the Romberg table, one stack per column
     while n_cells * m <= cap:
         left, right = _slices(cells, m)
-        v = p.evaluate(0.5 * (left + right))
-        if prev_prod is None and np.all(v == v[0]):
-            # flat at the midpoints of two levels: one exact barrier covers the span
-            l2, r2 = _slices(cells, 2 * m)
-            if np.all(p.evaluate(0.5 * (l2 + r2)) == v[0]):
-                return barrier_slice_matrices(v[:1], [lo], [hi], k[:, None])[:, 0]
-        per_pass = max(1, PASS_SLICES // v.size)
-        prod = np.concatenate([
-            chain_product(barrier_slice_matrices(v, left, right, k[todo[j:j + per_pass], None]))
+        v = p.evaluate(_gauss_points(left, right)).reshape(-1, 2)
+        if not row and np.all(v == v[0, 0]):
+            # flat at the Gauss points of two levels: one exact barrier covers the span
+            if np.all(p.evaluate(_gauss_points(*_slices(cells, 2 * m))) == v[0, 0]):
+                return barrier_slice_matrices(v[:1, 0], [lo], [hi], k[:, None])[:, 0]
+        height, tilt = 0.5 * (v[:, 0] + v[:, 1]), v[:, 1] - v[:, 0]
+        per_pass = max(1, PASS_SLICES // height.size)
+        new_row = [np.concatenate([
+            chain_product(barrier_slice_matrices(
+                height, left, right, k[todo[j:j + per_pass], None], tilt))
             for j in range(0, todo.size, per_pass)
-        ])
-        if prev_prod is not None:
-            rich = (4 * prod - prev_prod) / 3
-            if prev_rich is not None:
-                scale = np.maximum(1.0, np.linalg.norm(rich, axis=(-2, -1)))
-                done = np.abs(rich - prev_rich).max(axis=(-2, -1)) <= tol * scale
-                out[todo[done]] = rich[done]
-                todo, prod, rich = todo[~done], prod[~done], rich[~done]
-                if not todo.size:
-                    return out
-            prev_rich = rich
-        prev_prod = prod
+        ])]
+        for j, prev in enumerate(row):
+            new_row.append(new_row[j] + (new_row[j] - prev) / (4 ** (j + 2) - 1))
+        if row:
+            best = new_row[-1]
+            scale = np.maximum(1.0, np.linalg.norm(best, axis=(-2, -1)))
+            done = np.abs(best - new_row[-2]).max(axis=(-2, -1)) <= tol * scale
+            out[todo[done]] = best[done]
+            todo, new_row = todo[~done], [entry[~done] for entry in new_row]
+            if not todo.size:
+                return out
+        row = new_row
         m *= 2
     raise ToleranceNotReached(
         f"slice refinement on [{lo}, {hi}] ({n_cells} cells) did not reach "

@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 JORDAN_TOL = 1e-10  # |tr L / 2 -+ 1| below this uses the integer-z/pi branch
+MAGNUS_4 = math.sqrt(3.0) / 12.0   # weight of the commutator in a fourth-order Magnus slice
 
 
 class NotExactlySolvable(ValueError):
@@ -84,9 +85,9 @@ def multi_delta_matrix(comb: DeltaComb, k: float) -> TransferMatrix:
     return exact_matrix(comb, k)
 
 
-def barrier_slice_matrices(heights, left_edges, right_edges, k) -> np.ndarray:
+def barrier_slice_matrices(heights, left_edges, right_edges, k, tilt=None) -> np.ndarray:
     """Stack of exact rectangular-barrier transfer matrices, shape (..., 2, 2)
-    with heights, edges and k broadcast together.
+    with heights, edges, k and tilt broadcast together.
 
     For height z on [a_-, a_+] with L = a_+ - a_-, zh = z/2k^2,
     nn = sqrt(1 - z/k^2), c = cos(kL nn), s = sin(kL nn)/nn:
@@ -95,6 +96,14 @@ def barrier_slice_matrices(heights, left_edges, right_edges, k) -> np.ndarray:
              [ i e^{+ik(a_+ + a_-)} zh s,   e^{+ikL}(c + i(zh-1)s)]].
 
     Either branch of the square root gives the same M (c and s are even in nn).
+
+    ``tilt`` makes each matrix a fourth-order Magnus slice of a smooth v: with
+    z the mean of v at the two Gauss points a_m -+ L/(2 sqrt 3) of the slice
+    and tilt = v(a_m + L/(2 sqrt 3)) - v(a_m - L/(2 sqrt 3)), the commutator
+    [H_s(x2), H_s(x1)] = tilt sigma1 adds g kL sigma1, g = -(sqrt 3/12) L tilt/k,
+    to the slice exponent.  Then nn = sqrt(1 - z/k^2 - g^2) and the
+    off-diagonal entries gain e^{-+ik(a_+ + a_-)} g s.  tilt=None is the
+    barrier.
     """
     z = np.asarray(heights, dtype=complex)
     lo = np.asarray(left_edges, dtype=float)
@@ -103,7 +112,11 @@ def barrier_slice_matrices(heights, left_edges, right_edges, k) -> np.ndarray:
     kh = k * (hi - lo)
     kc = k * (lo + hi)
     zh = z / (2 * k * k)
-    w = kh * np.sqrt(1.0 - z / (k * k))
+    if tilt is None:
+        w = kh * np.sqrt(1.0 - z / (k * k))
+    else:
+        g = (-MAGNUS_4 * (hi - lo) / k) * np.asarray(tilt, dtype=complex)
+        w = kh * np.sqrt(1.0 - z / (k * k) - g * g)
     # cos w and sin w from real sines, cosines and hyperbolic functions of the
     # real and imaginary parts: several times cheaper than complex cos and sin
     sin_re, cos_re = np.sin(w.real), np.cos(w.real)
@@ -122,8 +135,13 @@ def barrier_slice_matrices(heights, left_edges, right_edges, k) -> np.ndarray:
     izs = 1j * zh * s
     out = np.empty(w.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = phase_l * (c - t)
-    out[..., 0, 1] = -phase_c * izs
-    out[..., 1, 0] = izs / phase_c
+    if tilt is None:
+        out[..., 0, 1] = -phase_c * izs
+        out[..., 1, 0] = izs / phase_c
+    else:
+        gs = g * s
+        out[..., 0, 1] = phase_c * (gs - izs)
+        out[..., 1, 0] = (gs + izs) / phase_c
     out[..., 1, 1] = (c + t) / phase_l
     return out
 

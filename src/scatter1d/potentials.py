@@ -209,14 +209,15 @@ QUADRATURE_POINTS = 2**20   # grid cap of the numeric transforms
 
 def _richardson_filon(p: Potential, rule, tol: float, name: str) -> complex:
     """Filon quadrature ``rule(x, y)`` of p's smooth part on the dynamical
-    engine's slices, refined as that engine refines.
+    engine's cuts and slices (``_cuts``, ``_slices``).
 
-    v is taken at slice midpoints and held on each slice (every slice edge
-    appears twice in x), so it is never sampled at a cut, where an
-    overlapping sum may jump.  Every level halves every slice; the error is
-    even in the slice width, so one Richardson step (4 F_2n - F_n)/3 makes
-    it 4th order, and two successive Richardson values that agree within tol
-    are accepted.
+    Unlike that engine's Gauss-point Magnus slices and Romberg table, it
+    keeps a midpoint rule and one Richardson step: v is taken at slice
+    midpoints and held on each slice (every slice edge appears twice in x),
+    so it is never sampled at a cut, where an overlapping sum may jump.
+    Every level halves every slice; the error is even in the slice width,
+    so one Richardson step (4 F_2n - F_n)/3 makes it 4th order, and two
+    successive Richardson values that agree within tol are accepted.
     """
     # the cuts plus 64 equal cells of the support, so that no cell starts wide
     cells = _cuts(np.union1d(_edges(p), np.linspace(*p.support(), 65)), p.interpolation_nodes())

@@ -9,9 +9,9 @@ from scipy.integrate import solve_ivp
 
 import scatter1d as s
 from scatter1d import engines
-from scatter1d.exact import numeric_leaf_copies
+from scatter1d.exact import barrier_slice_matrices, numeric_leaf_copies
 from scatter1d.potentials import _cuts
-from scatter1d.transfer import IDENTITY
+from scatter1d.transfer import IDENTITY, chain_product
 from conftest import assert_close, corpus, rel_diff, smooth_corpus
 
 K_TEST = 1.15
@@ -178,6 +178,73 @@ def wave_matrix(p, k):
     right = s.scattering_solution(q, k, "right", 1e-12)
     m12, m21, m22 = right.a_plus, -left.b_minus, left.a_minus
     return np.array([[(1 + m12 * m21) / m22, m12], [m21, m22]])
+
+
+@functools.cache
+def smooth_reference(name, k):
+    return wave_matrix(smooth_corpus()[name], k)
+
+
+def gauss_product(p, k, n):
+    """The product of n fourth-order Magnus slices of equal width over p's
+    support, with v at each slice's two Gauss points."""
+    a, b = p.support()
+    left = np.linspace(a, b, n + 1)[:-1]
+    right = np.append(left[1:], b)
+    mid, half = 0.5 * (left + right), (right - left) / (2 * np.sqrt(3.0))
+    v1, v2 = p.evaluate(mid - half), p.evaluate(mid + half)
+    return chain_product(barrier_slice_matrices(0.5 * (v1 + v2), left, right, k, v2 - v1))
+
+
+class TestMagnusSlices:
+    def test_zero_tilt_is_the_barrier(self):
+        rng = np.random.default_rng(13)
+        z = rng.normal(size=200) + 1j * rng.normal(size=200)
+        lo = rng.uniform(-2.0, 2.0, 200)
+        hi = lo + rng.uniform(1e-3, 1.5, 200)
+        k = rng.uniform(0.1, 5.0, 200)
+        bare = barrier_slice_matrices(z, lo, hi, k)
+        assert rel_diff(barrier_slice_matrices(z, lo, hi, k, np.zeros(200)), bare) <= 1e-15
+
+    def test_fourth_order_on_smis(self):
+        # a wrong sign of the commutator term leaves the slices second order
+        p = corpus()["smis"]
+        prods = [gauss_product(p, K_TEST, n) for n in (16, 32, 64, 128, 256)]
+        diffs = [np.abs(b - a).max() for a, b in zip(prods[:-1], prods[1:])]
+        for coarse, fine in zip(diffs[:-1], diffs[1:]):
+            assert coarse / fine >= 14, diffs
+
+    @pytest.mark.parametrize("name", ["barrier_complex", "bilayer", "sum_w3"])
+    def test_piecewise_constant_is_one_barrier_per_span(self, name, monkeypatch):
+        p = {**corpus(), **smooth_corpus()}[name]
+        calls = []
+
+        def recorded(heights, *args):
+            calls.append((np.size(heights), args[3:]))
+            return barrier_slice_matrices(heights, *args)
+
+        monkeypatch.setattr(engines, "barrier_slice_matrices", recorded)
+        m = s.transfer_matrix_dynamical(p, K_TEST, TOL).m
+        assert calls and all(call == (1, ()) for call in calls)
+        assert np.abs(m - s.exact_matrix(p, K_TEST).m).max() == 0
+
+    @pytest.mark.parametrize("k", [0.7, 1.15, 2.3])
+    @pytest.mark.parametrize("name", list(smooth_corpus()))
+    def test_keeps_tol_without_floor(self, name, k):
+        ref = smooth_reference(name, k)
+        for tol in (1e-6, 1e-9):
+            m = s.transfer_matrix_dynamical(smooth_corpus()[name], k, tol).m
+            assert_within_tol(m, ref, tol, (name, k, tol))
+
+    def test_sampled_span_zero_at_the_probes_is_solved(self):
+        # v vanishes at every even node, where seven even probes of [0, 1] land
+        values = np.zeros(17, dtype=complex)
+        values[1::2] = 0.8 - 0.3j
+        p = s.Sampled(0.0, 1 / 16, values)
+        ref = wave_matrix(p, 1.3)
+        assert abs(ref[0, 0] - (0.932 - 0.156j)) < 1e-3
+        for solver in ("dynamical", "auto"):
+            assert_within_tol(s.matrix_at(p, 1.3, solver, TOL).m, ref, TOL, solver)
 
 
 PERIODIC_CELLS = {  # cell, period

@@ -124,9 +124,9 @@ def test_batched_grid_equals_per_point(name, solver):
 
 
 def test_failed_wavenumber_records_its_own_error(monkeypatch):
-    # at a cap of 256 slices the grating reaches tol at some k of the grid
+    # at a cap of 128 slices the grating reaches tol at some k of the grid
     # only; a refinement that fails is skipped, not raised out of the scan
-    capped = functools.partial(s.transfer_matrix_dynamical, max_slices=256)
+    capped = functools.partial(s.transfer_matrix_dynamical, max_slices=128)
     monkeypatch.setattr(SCAN, "transfer_matrix_dynamical", capped)
     p, grid = s.ExpGrating(0.3 - 0.1j, 1, 2.0), np.linspace(0.5, 12.0, 9)
     for refine in (False, True):
