@@ -73,8 +73,8 @@ def born_first(p: Potential, k: float, tol: float = 1e-10) -> ScatteringData:
 
     R_l = v~(-2k)/2ik,  R_r = v~(2k)/2ik,  T = 1 + v~(0)/2ik.
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if not 0 < k < np.inf:
+        raise ValueError("k must be positive and finite")
     two_ik = 2j * k
     return ScatteringData(
         p.fourier(-2 * k, tol) / two_ik,
@@ -93,8 +93,8 @@ def _amplitudes_of_truncation(m: TransferMatrix) -> ScatteringData:
 
 def dyson_order1(p: Potential, k: float, tol: float = 1e-10) -> ApproxReport:
     """First-order truncation M^(1); exact for a single delta term."""
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if not 0 < k < np.inf:
+        raise ValueError("k must be positive and finite")
     v0 = p.fourier(0.0, tol)
     vp = p.fourier(2 * k, tol)
     vm = p.fourier(-2 * k, tol)
@@ -107,8 +107,8 @@ def dyson_order1(p: Potential, k: float, tol: float = 1e-10) -> ApproxReport:
 
 def dyson_order2(p: Potential, k: float, tol: float = 1e-10) -> ApproxReport:
     """Second-order truncation M^(2); exact for double-delta combs."""
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if not 0 < k < np.inf:
+        raise ValueError("k must be positive and finite")
     v0 = p.fourier(0.0, tol)
     vp = p.fourier(2 * k, tol)
     vm = p.fourier(-2 * k, tol)

@@ -409,8 +409,8 @@ def scattering_solution(
     outgoing unit-amplitude wave e^{ikx} and integrates to the left edge.
     Delta terms impose the derivative jump psi'(a+) = psi'(a-) + z psi(a).
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if not 0 < k < np.inf:
+        raise ValueError("k must be positive and finite")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     a, b = p.support()
@@ -563,8 +563,8 @@ def s_curve_solve(
     R^l = integral 2ik z v / s'^2 dx (the contour integral of
     -S''/(S S'^2) dz in the z chart).
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if not 0 < k < np.inf:
+        raise ValueError("k must be positive and finite")
     if p.delta_terms():
         raise ValueError("delta terms are not supported by the S-curve method")
     a, b = p.support()

@@ -61,8 +61,8 @@ def delta_matrix(strength: complex, location: float, k: float) -> TransferMatrix
 
     M = (1/2k) [[2k - iz, -iz e^{-2iak}], [iz e^{2iak}, 2k + iz]].
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if not 0 < k < np.inf:
+        raise ValueError("k must be positive and finite")
     return TransferMatrix(delta_matrices(strength, location, k), k)
 
 
@@ -85,7 +85,7 @@ def multi_delta_matrix(comb: DeltaComb, k: float) -> TransferMatrix:
     return exact_matrix(comb, k)
 
 
-def barrier_slice_matrices(heights, left_edges, right_edges, k, tilt=None) -> np.ndarray:
+def barrier_slice_matrices(heights, left_edges, right_edges, k, tilt=0.0) -> np.ndarray:
     """Stack of exact rectangular-barrier transfer matrices, shape (..., 2, 2)
     with heights, edges, k and tilt broadcast together.
 
@@ -102,8 +102,8 @@ def barrier_slice_matrices(heights, left_edges, right_edges, k, tilt=None) -> np
     and tilt = v(a_m + L/(2 sqrt 3)) - v(a_m - L/(2 sqrt 3)), the commutator
     [H_s(x2), H_s(x1)] = tilt sigma1 adds g kL sigma1, g = -(sqrt 3/12) L tilt/k,
     to the slice exponent.  Then nn = sqrt(1 - z/k^2 - g^2) and the
-    off-diagonal entries gain e^{-+ik(a_+ + a_-)} g s.  tilt=None is the
-    barrier.
+    off-diagonal entries gain e^{-+ik(a_+ + a_-)} g s.  tilt=0, the default,
+    is the barrier.
     """
     z = np.asarray(heights, dtype=complex)
     lo = np.asarray(left_edges, dtype=float)
@@ -112,11 +112,8 @@ def barrier_slice_matrices(heights, left_edges, right_edges, k, tilt=None) -> np
     kh = k * (hi - lo)
     kc = k * (lo + hi)
     zh = z / (2 * k * k)
-    if tilt is None:
-        w = kh * np.sqrt(1.0 - z / (k * k))
-    else:
-        g = (-MAGNUS_4 * (hi - lo) / k) * np.asarray(tilt, dtype=complex)
-        w = kh * np.sqrt(1.0 - z / (k * k) - g * g)
+    g = (-MAGNUS_4 * (hi - lo) / k) * np.asarray(tilt, dtype=complex)
+    w = kh * np.sqrt(1.0 - z / (k * k) - g * g)
     # cos w and sin w from real sines, cosines and hyperbolic functions of the
     # real and imaginary parts: several times cheaper than complex cos and sin
     sin_re, cos_re = np.sin(w.real), np.cos(w.real)
@@ -135,21 +132,17 @@ def barrier_slice_matrices(heights, left_edges, right_edges, k, tilt=None) -> np
     izs = 1j * zh * s
     out = np.empty(w.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = phase_l * (c - t)
-    if tilt is None:
-        out[..., 0, 1] = -phase_c * izs
-        out[..., 1, 0] = izs / phase_c
-    else:
-        gs = g * s
-        out[..., 0, 1] = phase_c * (gs - izs)
-        out[..., 1, 0] = (gs + izs) / phase_c
+    gs = g * s
+    out[..., 0, 1] = phase_c * (gs - izs)
+    out[..., 1, 0] = (gs + izs) / phase_c
     out[..., 1, 1] = (c + t) / phase_l
     return out
 
 
 def barrier_matrix(height: complex, a_minus: float, a_plus: float, k: float) -> TransferMatrix:
     """Exact transfer matrix of a rectangular barrier of given height on [a_minus, a_plus]."""
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if not 0 < k < np.inf:
+        raise ValueError("k must be positive and finite")
     if not a_minus < a_plus:
         raise ValueError("need a_minus < a_plus")
     m = barrier_slice_matrices(
@@ -323,6 +316,6 @@ def exact_matrix(p: Potential, k: float) -> TransferMatrix:
 
     Raises NotExactlySolvable at the first leaf with no closed form.
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if not 0 < k < np.inf:
+        raise ValueError("k must be positive and finite")
     return TransferMatrix(structural_matrix(p, k, None), k)

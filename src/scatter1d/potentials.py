@@ -9,13 +9,19 @@ transfer matrices instead.
 Fourier and ordered double transforms with no closed form take one route,
 ``_richardson_filon``: a Richardson-refined Filon quadrature cut where the
 engines cut, at the ``_edges`` (support ends, internal boundaries, delta
-locations) and, through ``_cuts``, at every interpolation node.
+locations) and, through ``_cuts``, at every interpolation node.  The closed
+forms take one route too: piecewise-constant stacks, gratings and Fourier
+cells are windows of exponentials (``_Windowed``) whose integrals come from
+one kernel, ``_g``, and the ordered transform of disjoint pieces in spatial
+order, whether a stack's cells, a comb's deltas or a sum's parts, is one
+rule, ``_ordered_sum``.
 
 Units: hbar = 1, lengths dimensionless, wavenumbers in inverse length.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -57,102 +63,80 @@ class DeltaTerm(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Stable window integrals for e^{-i q x} against polynomial weights.
+# Closed forms on windows.
 #
-# g_p(w) := integral_0^1 t^p e^{w t} dt, evaluated in closed form for
-# moderate |w| and by series for small |w| (the closed forms cancel
-# catastrophically as w -> 0).
+# g_p(w) := integral_0^1 t^p e^{w t} dt.  The recurrence g_p = (e^w - p
+# g_{p-1})/w from g_0 = (e^w - 1)/w cancels catastrophically as w -> 0, so
+# below |w| = 1/4 the series sum_n w^n / (n! (n+p+1)) is used instead.
 # ---------------------------------------------------------------------------
 
 _SERIES_CUTOFF = 0.25
 _SERIES_TERMS = 18
+# n + p + 1 for term n of the series of g_p, p <= 3; complex, like the terms
+_SERIES_DENOMINATORS = np.add.outer(np.arange(_SERIES_TERMS), np.arange(1, 5))[..., None] + 0j
 
 
-def _g_series(w: complex, p: int) -> complex:
-    # integral_0^1 t^p e^{wt} dt = sum_n w^n / (n! (n+p+1))
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j  # w^n / n!
-    for n in range(_SERIES_TERMS):
-        total += term / (n + p + 1)
-        term = term * w / (n + 1)
-    return total
-
-
-def _g1(w):
-    """(e^w - 1)/w, stable near w = 0; vectorized."""
+def _g(w, top: int) -> np.ndarray:
+    """g_0(w), ..., g_top(w), stacked on a new first axis; vectorized."""
     w = np.asarray(w, dtype=complex)
-    out = np.empty_like(w)
+    out = np.empty((top + 1, *w.shape), dtype=complex)
     small = np.abs(w) < _SERIES_CUTOFF
+    big = ~small
     ws = w[small]
     if ws.size:
-        total = np.zeros_like(ws)
-        term = np.ones_like(ws)
-        for n in range(_SERIES_TERMS):
-            total += term / (n + 1)
+        total = np.zeros((top + 1, ws.size), dtype=complex)
+        term = np.ones_like(ws)  # w^n / n!
+        for n, d in enumerate(_SERIES_DENOMINATORS[:, :top + 1]):
+            total += term / d
             term = term * ws / (n + 1)
-        out[small] = total
-    wb = w[~small]
+        out[:, small] = total
+    wb = w[big]
     if wb.size:
-        out[~small] = (np.exp(wb) - 1.0) / wb
+        e = np.exp(wb)
+        g = (e - 1.0) / wb
+        out[0, big] = g
+        for p in range(1, top + 1):
+            g = (e - p * g) / wb
+            out[p, big] = g
     return out
 
 
-def _g2(w):
-    """integral_0^1 t e^{wt} dt = (e^w (w-1) + 1)/w^2, stable; vectorized."""
-    w = np.asarray(w, dtype=complex)
-    out = np.empty_like(w)
-    small = np.abs(w) < _SERIES_CUTOFF
-    ws = w[small]
-    if ws.size:
-        total = np.zeros_like(ws)
-        term = np.ones_like(ws)
-        for n in range(_SERIES_TERMS):
-            total += term / (n + 2)
-            term = term * ws / (n + 1)
-        out[small] = total
-    wb = w[~small]
-    if wb.size:
-        out[~small] = (np.exp(wb) * (wb - 1.0) + 1.0) / wb**2
-    return out
+def _window_ft(q: float, L: float) -> complex:
+    """integral_0^L e^{-i q u} du = L g_0(-iqL)."""
+    return L * complex(_g(-1j * q * L, 0)[0])
 
 
-def _g3(w: complex) -> complex:
-    """integral_0^1 t^2 e^{wt} dt."""
-    if abs(w) < _SERIES_CUTOFF:
-        return _g_series(w, 2)
-    return (np.exp(w) * (w * w - 2 * w + 2) - 2) / w**3
-
-
-def _g4(w: complex) -> complex:
-    """integral_0^1 t^3 e^{wt} dt."""
-    if abs(w) < _SERIES_CUTOFF:
-        return _g_series(w, 3)
-    return (np.exp(w) * (w**3 - 3 * w * w + 6 * w - 6) + 6) / w**4
-
-
-def _window_ft(q, L):
-    """integral_0^L e^{-i q u} du = L * g1(-iqL)."""
-    return L * _g1(-1j * np.asarray(q, dtype=complex) * L)
-
-
-def _ordered_window_ft(q1: complex, q2: complex, L: float) -> complex:
+def _ordered_window_ft(q1: float, q2: float, L: float) -> complex:
     """integral_0^L du2 e^{-i q2 u2} integral_0^{u2} du1 e^{-i q1 u1}.
 
-    Equals [E(q2) - E(q1+q2)]/q1 with E(q) = (e^{-iqL}-1)/q; the small-q1
-    branch uses the Taylor expansion in q1 to avoid cancellation.
+    Equals [E(q2) - E(q1+q2)]/q1 with E(q) = (e^{-iqL}-1)/q = -iL g_0(-iqL);
+    where |q1| L <= 1e-4 the Taylor expansion in q1 avoids the cancellation,
+    with E'(q2) = -L^2 g_1, E'' = i L^3 g_2 and E''' = L^4 g_3 at -i q2 L.
     """
-
-    def E(q: complex) -> complex:
-        return -1j * L * complex(_g1(-1j * q * L))
-
-    if abs(q1) * L > 1e-4:
-        return (E(q2) - E(q1 + q2)) / q1
-    w2 = -1j * q2 * L
-    # E'(k) = -L^2 g2(-ikL), E'' = i L^3 g3, E''' = L^4 g4
-    dE = -(L**2) * complex(_g2(w2))
-    d2E = 1j * L**3 * _g3(w2)
-    d3E = L**4 * _g4(w2)
+    far = abs(q1) * L > 1e-4
+    g = _g([-1j * q2 * L, -1j * (q1 + q2) * L], 0 if far else 3).tolist()
+    if far:
+        return -1j * L * (g[0][0] - g[0][1]) / q1
+    dE, d2E, d3E = -(L**2) * g[1][0], 1j * L**3 * g[2][0], L**4 * g[3][0]
     return -dE - q1 * d2E / 2.0 - q1 * q1 * d3E / 6.0
+
+
+def _window_fts(windows, kappa: float) -> list[complex]:
+    """Transform at kappa of each window (lo, L, ((c_j, q_j), ...))."""
+    return [cmath.exp(-1j * kappa * lo) * sum(c * _window_ft(kappa - q, L) for c, q in terms)
+            for lo, L, terms in windows]
+
+
+def _ordered_sum(own, first, second) -> complex:
+    """Ordered double transform of disjoint pieces in spatial order: ``own``,
+    the sum of the pieces' own ordered transforms, plus first_i * second_j
+    over i < j, by a running prefix.  ``first`` holds the pieces' transforms
+    at k1 but the last's, ``second`` those at k2 but the first's."""
+    total, prefix = complex(own), 0.0
+    for f, s in zip(first, second):
+        prefix += f
+        total += prefix * s
+    return total
 
 
 def _filon_cells(x: np.ndarray, y: np.ndarray, kappa: float) -> np.ndarray:
@@ -162,8 +146,8 @@ def _filon_cells(x: np.ndarray, y: np.ndarray, kappa: float) -> np.ndarray:
     limited only by the interpolation error of y, not by kappa.
     """
     h = np.diff(x)
-    w = -1j * kappa * h
-    return np.exp(-1j * kappa * x[:-1]) * h * (y[:-1] * _g1(w) + np.diff(y) * _g2(w))
+    g0, g1 = _g(-1j * kappa * h, 1)
+    return np.exp(-1j * kappa * x[:-1]) * h * (y[:-1] * g0 + np.diff(y) * g1)
 
 
 def _filon_linear(x: np.ndarray, y: np.ndarray, kappa: float) -> complex:
@@ -316,6 +300,25 @@ class Potential:
         raise NotImplementedError
 
 
+class _Windowed(Potential):
+    """A potential given by its windows (lo, L, ((c_j, q_j), ...)), disjoint
+    and in spatial order, with v = sum_j c_j e^{i q_j (x - lo)} on [lo, lo + L]
+    and zero elsewhere: both transforms are closed forms."""
+
+    def _windows(self) -> tuple:
+        raise NotImplementedError
+
+    def _fourier_smooth(self, kappa, tol):
+        return sum(_window_fts(self._windows(), kappa))
+
+    def _double_fourier(self, k1, k2, tol):
+        w = self._windows()
+        own = sum(ca * cb * cmath.exp(-1j * (k1 + k2) * lo)
+                  * _ordered_window_ft(k1 - qa, k2 - qb, L)
+                  for lo, L, terms in w for ca, qa in terms for cb, qb in terms)
+        return _ordered_sum(own, _window_fts(w[:-1], k1), _window_fts(w[1:], k2))
+
+
 @dataclass(frozen=True)
 class DeltaComb(Potential):
     """Sum of point scatterers: v(x) = sum_j z_j delta(x - a_j)."""
@@ -350,11 +353,8 @@ class DeltaComb(Potential):
 
     def _double_fourier(self, k1, k2, tol):
         # strictly ordered pairs only; equal-point products carry no weight
-        total = 0.0 + 0.0j
-        for i, (zi, ai) in enumerate(self.terms):
-            for zj, aj in self.terms[i + 1:]:
-                total += zi * zj * np.exp(-1j * (k1 * ai + k2 * aj))
-        return total
+        return _ordered_sum(0.0, [z * cmath.exp(-1j * k1 * a) for z, a in self.terms[:-1]],
+                            [z * cmath.exp(-1j * k2 * a) for z, a in self.terms[1:]])
 
     def to_dict(self):
         return {
@@ -367,7 +367,7 @@ class DeltaComb(Potential):
 
 
 @dataclass(frozen=True)
-class PiecewiseConstant(Potential):
+class PiecewiseConstant(_Windowed):
     """Piecewise-constant potential: values[j] on [breakpoints[j], breakpoints[j+1])."""
 
     breakpoints: tuple[float, ...]
@@ -400,25 +400,9 @@ class PiecewiseConstant(Potential):
             out[(x >= lo) & (x <= hi)] = v
         return out
 
-    def _fourier_smooth(self, kappa, tol):
-        total = 0.0 + 0.0j
-        for lo, hi, v in zip(self.breakpoints[:-1], self.breakpoints[1:], self.values):
-            total += v * np.exp(-1j * kappa * lo) * complex(_window_ft(kappa, hi - lo))
-        return total
-
-    def _double_fourier(self, k1, k2, tol):
+    def _windows(self):
         bp = self.breakpoints
-        cells = list(zip(bp[:-1], bp[1:], self.values))
-        total = 0.0 + 0.0j
-        for lo, hi, v in cells:
-            h = hi - lo
-            total += v * v * np.exp(-1j * (k1 + k2) * lo) * _ordered_window_ft(k1, k2, h)
-        for i, (lo_i, hi_i, vi) in enumerate(cells):
-            fi = vi * np.exp(-1j * k1 * lo_i) * complex(_window_ft(k1, hi_i - lo_i))
-            for lo_j, hi_j, vj in cells[i + 1:]:
-                fj = vj * np.exp(-1j * k2 * lo_j) * complex(_window_ft(k2, hi_j - lo_j))
-                total += fi * fj
-        return total
+        return tuple((lo, hi - lo, ((v, 0.0),)) for lo, hi, v in zip(bp[:-1], bp[1:], self.values))
 
     def to_dict(self):
         return {
@@ -429,7 +413,7 @@ class PiecewiseConstant(Potential):
 
 
 @dataclass(frozen=True)
-class ExpGrating(Potential):
+class ExpGrating(_Windowed):
     """Single-harmonic complex grating: v = z e^{2 pi i n (x-offset)/length} on its window."""
 
     strength: complex
@@ -462,21 +446,8 @@ class ExpGrating(Potential):
         out[(u < -edge) | (u > self.length + edge)] = 0.0
         return out
 
-    def _fourier_smooth(self, kappa, tol):
-        q = kappa - self.harmonic * self.wavevector
-        return (
-            self.strength
-            * np.exp(-1j * kappa * self.offset)
-            * complex(_window_ft(q, self.length))
-        )
-
-    def _double_fourier(self, k1, k2, tol):
-        K = self.wavevector
-        return (
-            self.strength**2
-            * np.exp(-1j * (k1 + k2) * self.offset)
-            * _ordered_window_ft(k1 - self.harmonic * K, k2 - self.harmonic * K, self.length)
-        )
+    def _windows(self):
+        return ((self.offset, self.length, ((self.strength, self.harmonic * self.wavevector),)),)
 
     def to_dict(self):
         return {
@@ -489,7 +460,7 @@ class ExpGrating(Potential):
 
 
 @dataclass(frozen=True)
-class FourierCell(Potential):
+class FourierCell(_Windowed):
     """Finite Fourier series on the window [0, length]."""
 
     coefficients: tuple[tuple[int, complex], ...]
@@ -525,20 +496,9 @@ class FourierCell(Potential):
             out[inside] += z * np.exp(2j * np.pi * n * x[inside] / self.length)
         return out
 
-    def _fourier_smooth(self, kappa, tol):
+    def _windows(self):
         K = self.wavevector
-        total = 0.0 + 0.0j
-        for n, z in self.coefficients:
-            total += z * complex(_window_ft(kappa - n * K, self.length))
-        return total
-
-    def _double_fourier(self, k1, k2, tol):
-        K = self.wavevector
-        total = 0.0 + 0.0j
-        for p, zp in self.coefficients:
-            for q, zq in self.coefficients:
-                total += zp * zq * _ordered_window_ft(k1 - p * K, k2 - q * K, self.length)
-        return total
+        return ((0.0, self.length, tuple((z, n * K) for n, z in self.coefficients)),)
 
     def to_dict(self):
         return {
@@ -708,18 +668,12 @@ class Sum(Potential):
         return sum((p._fourier_smooth(kappa, tol) for p in self.parts), 0.0 + 0.0j)
 
     def _double_fourier(self, k1, k2, tol):
-        if not self.parts:
-            return 0.0 + 0.0j
         if self.overlapping:
             return super()._double_fourier(k1, k2, tol)
         parts = self.spatially_sorted()
-        total = sum((p._double_fourier(k1, k2, tol) for p in parts), 0.0 + 0.0j)
-        fts1 = [p.fourier(k1, tol) for p in parts]
-        fts2 = [p.fourier(k2, tol) for p in parts]
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                total += fts1[i] * fts2[j]
-        return total
+        own = sum((p._double_fourier(k1, k2, tol) for p in parts), 0.0 + 0.0j)
+        return _ordered_sum(own, [p.fourier(k1, tol) for p in parts[:-1]],
+                            [p.fourier(k2, tol) for p in parts[1:]])
 
     def to_dict(self):
         return {"type": "sum", "parts": [p.to_dict() for p in self.parts]}

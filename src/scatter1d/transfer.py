@@ -96,8 +96,8 @@ class TransferMatrix:
         arr = np.asarray(m, dtype=complex)
         if arr.shape != (2, 2):
             raise ValueError("transfer matrix must be 2x2")
-        if k <= 0:
-            raise ValueError("wavenumber must be positive (negative-k queries rejected)")
+        if not 0 < k < np.inf:
+            raise ValueError("k must be positive and finite")
         object.__setattr__(self, "m", arr)
         object.__setattr__(self, "k", float(k))
 

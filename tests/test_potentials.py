@@ -1,6 +1,7 @@
 """Potential variants: evaluation, supports, Fourier transforms, JSON schema."""
 
 import json
+import timeit
 
 import numpy as np
 import pytest
@@ -305,6 +306,86 @@ class TestNumericTransforms:
             for transform, args, ref in checks:
                 err = abs(transform(*args, tol=tol) - ref) / max(1.0, abs(ref))
                 assert err <= tol, f"{name} {transform.__name__}{args} tol={tol:g}: {err:.3e}"
+
+
+def random_stack(cells, seed):
+    rng = np.random.default_rng(seed)
+    breakpoints = np.cumsum(rng.uniform(0.05, 0.6, cells + 1)) - 1.0
+    return s.PiecewiseConstant(breakpoints, rng.normal(size=cells) + 1j * rng.normal(size=cells))
+
+
+def pair_sum(own, first, second):
+    """own + first[i] * second[j] over every i < j, pair by pair."""
+    return own + sum(first[i] * second[j]
+                     for i in range(len(first)) for j in range(i + 1, len(second)))
+
+
+class TestOrderedSums:
+    """Ordered double transforms of more than two pieces or terms, at the
+    arguments of dyson_order2 for k = 1.15 and one generic pair, and of one
+    window near the small-q1 branch, against references that share no code
+    with the closed forms."""
+
+    PAIRS = (*TestNumericTransforms.PAIRS, (1.1, -0.7))
+
+    def test_stack_against_gauss_legendre(self):
+        p = random_stack(7, 3)
+        for args in self.PAIRS:
+            ref = reference_double_fourier(p, *args)
+            assert_close(p.double_fourier(*args), ref, 1e-12 * max(1.0, abs(ref)), str(args))
+
+    def test_delta_comb_against_pair_sum(self):
+        rng = np.random.default_rng(4)
+        z = rng.normal(size=5) + 1j * rng.normal(size=5)
+        a = np.cumsum(rng.uniform(0.2, 0.9, 5)) - 1.5
+        comb = s.DeltaComb(list(zip(z, a)))
+        for k1, k2 in self.PAIRS:
+            ref = pair_sum(0.0, z * np.exp(-1j * k1 * a), z * np.exp(-1j * k2 * a))
+            assert_close(comb.double_fourier(k1, k2), ref, 1e-13, str((k1, k2)))
+
+    def test_disjoint_sum_of_three(self):
+        parts = [
+            s.ExpGrating(0.2 - 0.1j, 1, 1.0, 0.5),
+            s.PiecewiseConstant.barrier(0.8j, -1.5, -0.7),
+            s.Translated(s.FourierCell({1: 0.2 + 0.1j, -2: 0.1j}, 1.2), 1.8),
+        ]
+        total = s.Sum(parts)
+        ordered = total.spatially_sorted()
+        for k1, k2 in self.PAIRS:
+            rule = pair_sum(sum(q.double_fourier(k1, k2) for q in ordered),
+                            [q.fourier(k1) for q in ordered], [q.fourier(k2) for q in ordered])
+            ref = reference_double_fourier(total, k1, k2)
+            got = total.double_fourier(k1, k2)
+            assert_close(got, rule, 1e-13 * max(1.0, abs(rule)), f"rule {k1, k2}")
+            assert_close(got, ref, 1e-12 * max(1.0, abs(ref)), f"quadrature {k1, k2}")
+
+    def test_fourier_cell_cross_harmonics(self):
+        # against a nested trapezoid, as in test_against_nested_quadrature
+        p = s.FourierCell({1: 0.2 + 0.1j, -2: 0.1j, 0: 0.05}, 1.5)
+        xs = np.linspace(0.0, 1.5, 20001)
+        v = p.evaluate(xs)
+        for k1, k2 in self.PAIRS:
+            c = np.exp(-1j * k1 * xs) * v
+            inner = np.concatenate([[0], np.cumsum(0.5 * (c[1:] + c[:-1]) * np.diff(xs))])
+            brute = np.trapezoid(np.exp(-1j * k2 * xs) * v * inner, xs)
+            assert_close(p.double_fourier(k1, k2), brute, 5e-7, str((k1, k2)))
+
+    def test_taylor_branch_off_its_centre(self):
+        # 0 < |k1 - q| L < 1e-4 for the grating's q = 2 pi / L, where the
+        # w1 terms of the Taylor expansion count
+        p = s.ExpGrating(0.8 - 0.3j, 1, 1.7, 0.4)
+        for shift in (-3e-5, 5e-5):
+            k1 = 2 * np.pi / 1.7 + shift
+            for k2 in (0.0, -2.3, k1):
+                ref = reference_double_fourier(p, k1, k2)
+                assert_close(p.double_fourier(k1, k2), ref, 1e-13 * max(1.0, abs(ref)))
+
+    def test_stack_cost_is_not_quadratic(self):
+        # one pass over the cells; the O(n^2) pair loop it replaced took over
+        # a second at 200 cells
+        p = random_stack(200, 5)
+        best = min(timeit.repeat(lambda: p.double_fourier(1.1, -0.7), number=1, repeat=3))
+        assert best < 0.5
 
 
 class TestPermittivity:

@@ -150,3 +150,25 @@ def test_non_finite_k_is_refused(k):
         s.matrix_at(grating, k)
     with pytest.raises(ValueError, match="finite"):
         s.transfer_matrix_dynamical(grating, k)
+
+
+BARRIER = s.PiecewiseConstant.barrier(0.8 + 0.3j, 0.0, 1.2)
+SCALAR_K_ENTRY_POINTS = {
+    "TransferMatrix": lambda k: s.TransferMatrix(np.eye(2), k),
+    "exact_matrix": lambda k: s.exact_matrix(BARRIER, k),
+    "delta_matrix": lambda k: s.delta_matrix(0.7, 0.2, k),
+    "barrier_matrix": lambda k: s.barrier_matrix(0.8, 0.0, 1.2, k),
+    "born_first": lambda k: s.born_first(BARRIER, k),
+    "dyson_order1": lambda k: s.dyson_order1(BARRIER, k),
+    "dyson_order2": lambda k: s.dyson_order2(BARRIER, k),
+    "scattering_solution": lambda k: s.scattering_solution(BARRIER, k),
+    "ls_amplitudes": lambda k: s.ls_amplitudes(BARRIER, k),
+    "s_curve_solve": lambda k: s.s_curve_solve(BARRIER, k),
+}
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf])
+@pytest.mark.parametrize("entry", sorted(SCALAR_K_ENTRY_POINTS))
+def test_non_finite_scalar_k_is_refused(entry, k):
+    with pytest.raises(ValueError, match="k must be positive and finite"):
+        SCALAR_K_ENTRY_POINTS[entry](k)
