@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -225,7 +226,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by every
+    ``main`` call."""
     ap = argparse.ArgumentParser(
         prog="scatter1d",
         description="1D wave scattering by complex finite-range potentials "

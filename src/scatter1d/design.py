@@ -444,5 +444,6 @@ def write_profile_csv(potential: Potential, path, npoints: int = 2048) -> None:
     v = np.atleast_1d(potential.evaluate(x))
     with open(path, "w") as fh:
         fh.write("x,re_v,im_v\n")
-        for xi, vi in zip(x, v):
-            fh.write(f"{xi:.17g},{vi.real:.17g},{vi.imag:.17g}\n")
+        fh.writelines(
+            "%.17g,%.17g,%.17g\n" % row for row in zip(x.tolist(), v.real.tolist(), v.imag.tolist())
+        )

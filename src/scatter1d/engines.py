@@ -9,12 +9,16 @@ Three independent routes to the same scattering data:
   of their difference, at the cost of a barrier; delta terms are spliced in
   exactly.  The slice product is symmetric, so its error is even in the
   slice width, and a Romberg table over the doubling levels eliminates the
-  h^4, h^6, ... terms.  The error is estimated from the table's newest
-  diagonal entry and its left neighbour, and sampled data are sliced on
-  whole interpolation cells, so no slice straddles a kink and no two slice
-  counts can agree by aliasing.  k is a batch axis: an array of k is solved
-  in array passes that share the slicing and the values of v among the k at
-  the same slice count, each k keeping its own start count and acceptance.
+  h^4, h^6, ... terms.  A leaf (the potential the engine is given) has one
+  table per k over all its spans: each pass slices every span, evaluates v
+  once and multiplies the leaf's whole stack, the first pass holds the
+  first two levels, since a table needs two rows, and the leaf's tol is not
+  shared out over its spans.  The error is estimated from the table's
+  newest diagonal entry and its left neighbour, and sampled data are sliced
+  on whole interpolation cells, so no slice straddles a kink and no two
+  slice counts can agree by aliasing.  k is a batch axis: an array of k is
+  solved in array passes that share the slicing and the values of v among
+  the k at the same start count, each k keeping its own acceptance.
 * ``scattering_solution``/``ls_amplitudes`` integrate the stationary wave
   equation psi'' = (v - k^2) psi with outgoing boundary data and read the
   amplitudes from the asymptotics and from the reflection/transmission
@@ -56,6 +60,7 @@ from .transfer import (
     SIGMA3,
     ScatteringData,
     TransferMatrix,
+    _pair_products,
     chain_product,
 )
 
@@ -77,8 +82,10 @@ __all__ = [
 class ToleranceNotReached(RuntimeError):
     """The dynamical engine cannot vouch for its tolerance.
 
-    Raised when slice refinement hits the cap before the newest diagonal
-    entry of the Romberg table agrees with its left neighbour within tol.
+    Raised when the next level of a leaf's slices would pass the cap
+    (``max_slices`` over the whole leaf at one level) before the newest
+    diagonal entry of the leaf's Romberg table agrees with its left
+    neighbour within tol.  The message names the leaf.
     """
 
 
@@ -138,17 +145,21 @@ def transfer_matrix_dynamical(
 
     Each slice is advanced by ``barrier_slice_matrices`` with v at its two
     Gauss points: their mean is the slice height and their difference the
-    tilt of the Magnus commutator term.  No Gauss point is ever a cut.  Per
-    smooth span the slice count doubles, the products enter a Romberg table
-    whose columns remove the h^4, h^6, ... error terms (weights 1/15, 1/63,
-    ...), and the span is accepted once the newest diagonal entry differs
-    from its left neighbour by no more than tol (shared out over the spans);
-    that diagonal entry is returned.  A span on which v is constant is one
-    exact barrier.  Sampled data are sliced on whole interpolation cells
-    (every node inside a span is a slice edge), since a kink inside a slice
-    breaks the even error expansion the table relies on.  Delta terms are
-    spliced in via their exact matrices.  det M = 1 holds to within tol, not
-    exactly.
+    tilt of the Magnus commutator term.  No Gauss point is ever a cut.  The
+    leaf (all of p) has one Romberg table per k: every level doubles the
+    slice count of every span, the leaf's product at that level enters the
+    table, whose columns remove the h^4, h^6, ... error terms (weights 1/15,
+    1/63, ...), and the leaf is accepted once the newest diagonal entry
+    differs from its left neighbour by no more than tol, which is not shared
+    out over the spans; that diagonal entry is returned.  A pass slices
+    every span once and evaluates v once at all their Gauss points; the
+    first pass holds the first two levels, since a table needs two rows.  A
+    span on which v is constant at the Gauss points of both is one exact
+    barrier.  Sampled data are sliced on whole interpolation cells (every
+    node inside a span is a slice edge), since a kink inside a slice breaks
+    the even error expansion the table relies on.  Delta terms are spliced
+    in via their exact matrices.  det M = 1 holds to within tol, not
+    exactly.  ``max_slices`` caps the leaf's slices at one level.
 
     k is a batch axis: a scalar k gives a TransferMatrix, an array of k the
     stack of matrices, shape k.shape + (2, 2).  Every k keeps its own start
@@ -165,18 +176,20 @@ def transfer_matrix_dynamical(
         _cuts([lo, hi], nodes) for lo, hi in zip(edges[:-1], edges[1:]) if hi - lo > 1e-14 * scale
     ]
     active = [cells for cells in spans if _span_is_active(p, cells)]
-    total_len = sum(cells[-1] - cells[0] for cells in active)
-    pieces = [(a, delta_matrices(z, a, ks)) for z, a in p.delta_terms()]
+    deltas = [(a, delta_matrices(z, a, ks)) for z, a in p.delta_terms()]
     if active:
-        seg_tol = tol / len(active)
-        n_start_total = np.maximum(64, np.ceil(8 * ks * total_len / math.pi))
-    for cells in active:
-        lo, hi = cells[0], cells[-1]
-        share = np.maximum(16, np.ceil(n_start_total * (hi - lo) / total_len)).astype(int)
-        pieces.append((lo, _refine_span(p, cells, ks, seg_tol, share, max_slices)))
-    pieces.sort(key=lambda item: item[0])
-    if pieces:
-        out = chain_product(np.stack([m for _, m in pieces], axis=-3))
+        out = np.empty(ks.shape + (2, 2), dtype=complex)
+        total_len = sum(cells[-1] - cells[0] for cells in active)
+        n_start = np.maximum(64, np.ceil(8 * ks * total_len / math.pi))
+        for start in np.unique(n_start):
+            group = np.flatnonzero(n_start == start)
+            shares = [max(16, math.ceil(start * (c[-1] - c[0]) / total_len)) for c in active]
+            out[group] = _refine_leaf(
+                p, active, shares, [(a, m[group]) for a, m in deltas], ks[group], tol, max_slices
+            )
+    elif deltas:
+        deltas.sort(key=lambda item: item[0])
+        out = chain_product(np.stack([m for _, m in deltas], axis=-3))
     else:
         out = np.broadcast_to(IDENTITY, ks.shape + (2, 2)).copy()
     if np.ndim(k) == 0:
@@ -194,60 +207,123 @@ def _gauss_points(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.stack([mid - half, mid + half], axis=-1).ravel()
 
 
-def _refine_span(
-    p: Potential, cells: np.ndarray, k: np.ndarray, tol: float, n_start: np.ndarray, cap: int
-) -> np.ndarray:
-    """Romberg-refined matrices (K, 2, 2) of one span for a batch of k,
-    each k from its own start count n_start."""
-    out = np.empty(k.shape + (2, 2), dtype=complex)
-    for start in np.unique(n_start):
-        group = np.flatnonzero(n_start == start)
-        out[group] = _refine_group(p, cells, k[group], tol, int(start), cap)
-    return out
+def _level(spans: list, ms: list, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right slice edges of every span at level j, m * 2**j slices
+    per cell, span after span."""
+    cut = [_slices(cells, m << j) for cells, m in zip(spans, ms)]
+    return np.concatenate([left for left, _ in cut]), np.concatenate([right for _, right in cut])
 
 
-def _refine_group(
-    p: Potential, cells: np.ndarray, k: np.ndarray, tol: float, n_start: int, cap: int
+def _refine_leaf(
+    p: Potential, spans: list, shares: list, deltas: list, k: np.ndarray, tol: float, cap: int
 ) -> np.ndarray:
-    """``_refine_span`` for k that share a start count: every level slices
-    once and evaluates v once for all of them, and a k leaves the batch
-    once its Romberg table converges."""
-    lo, hi = float(cells[0]), float(cells[-1])
-    n_cells = cells.size - 1
-    m = -(-n_start // n_cells)
+    """Romberg-refined matrices (K, 2, 2) of a leaf for k that share their
+    start counts (``shares`` slices per span): each pass slices every span
+    once and evaluates v once for all the k, and a k leaves the batch once
+    its table converges."""
+    ms = [-(-share // (cells.size - 1)) for cells, share in zip(spans, shares)]
+    at = np.cumsum([0] + [(cells.size - 1) * m for cells, m in zip(spans, ms)])   # level 0 offsets
+    lo, hi = float(spans[0][0]), float(spans[-1][-1])
+
+    def capped() -> ToleranceNotReached:
+        return ToleranceNotReached(
+            f"slice refinement of the leaf on [{lo}, {hi}] ({len(spans)} spans) did not "
+            f"reach tol={tol:g} within {cap} slices"
+        )
+
+    if at[-1] > cap:
+        raise capped()
+    left, right = (np.concatenate(edges) for edges in zip(_level(spans, ms, 0), _level(spans, ms, 1)))
+    v = p.evaluate(_gauss_points(left, right)).reshape(-1, 2)
+    pieces, keep = list(deltas), np.ones(len(spans), dtype=bool)
+    for i, cells in enumerate(spans):
+        first = v[at[i], 0]
+        level1 = v[at[-1] + 2 * at[i]:at[-1] + 2 * at[i + 1]]
+        if np.all(v[at[i]:at[i + 1]] == first) and np.all(level1 == first):
+            # flat at the Gauss points of two levels: one exact barrier covers the span
+            flat = barrier_slice_matrices(v[at[i]:at[i] + 1, 0], [cells[0]], [cells[-1]], k[:, None])
+            pieces.append((cells[0], flat[:, 0]))
+            keep[i] = False
+        else:
+            pieces.append((cells[0], None))
+    pieces = [m for _, m in sorted(pieces, key=lambda item: item[0])]
+    if not keep.any():
+        return chain_product(np.stack(pieces, axis=-3))
+    if not keep.all():
+        counts = np.diff(at)
+        sliced = np.concatenate([np.repeat(keep, counts), np.repeat(keep, 2 * counts)])
+        left, right, v = left[sliced], right[sliced], v[sliced]
+        spans = [cells for cells, kept in zip(spans, keep) if kept]
+        ms = [m for m, kept in zip(ms, keep) if kept]
+        at = np.cumsum(np.append(0, counts[keep]))
+    if 2 * at[-1] > cap:
+        raise capped()
+
     out = np.empty(k.shape + (2, 2), dtype=complex)
     todo = np.arange(k.size)
     row = []   # the previous row of the Romberg table, one stack per column
-    while n_cells * m <= cap:
-        left, right = _slices(cells, m)
+    levels = [0, 1]   # the levels of the pass
+    while True:
+        for entry in _leaf_products(pieces, at, levels, left, right, v, k, todo):
+            new_row = [entry]
+            for i, prev in enumerate(row):
+                new_row.append(new_row[i] + (new_row[i] - prev) / (4 ** (i + 2) - 1))
+            if row:
+                best = new_row[-1]
+                scale = np.maximum(1.0, np.linalg.norm(best, axis=(-2, -1)))
+                done = np.abs(best - new_row[-2]).max(axis=(-2, -1)) <= tol * scale
+                out[todo[done]] = best[done]
+                todo, new_row = todo[~done], [entry[~done] for entry in new_row]
+                if not todo.size:
+                    return out
+            row = new_row
+        levels = [levels[-1] + 1]
+        if at[-1] << levels[0] > cap:
+            raise capped()
+        left, right = _level(spans, ms, levels[0])
         v = p.evaluate(_gauss_points(left, right)).reshape(-1, 2)
-        if not row and np.all(v == v[0, 0]):
-            # flat at the Gauss points of two levels: one exact barrier covers the span
-            if np.all(p.evaluate(_gauss_points(*_slices(cells, 2 * m))) == v[0, 0]):
-                return barrier_slice_matrices(v[:1, 0], [lo], [hi], k[:, None])[:, 0]
-        height, tilt = 0.5 * (v[:, 0] + v[:, 1]), v[:, 1] - v[:, 0]
-        per_pass = max(1, PASS_SLICES // height.size)
-        new_row = [np.concatenate([
-            chain_product(barrier_slice_matrices(
-                height, left, right, k[todo[j:j + per_pass], None], tilt))
-            for j in range(0, todo.size, per_pass)
-        ])]
-        for j, prev in enumerate(row):
-            new_row.append(new_row[j] + (new_row[j] - prev) / (4 ** (j + 2) - 1))
-        if row:
-            best = new_row[-1]
-            scale = np.maximum(1.0, np.linalg.norm(best, axis=(-2, -1)))
-            done = np.abs(best - new_row[-2]).max(axis=(-2, -1)) <= tol * scale
-            out[todo[done]] = best[done]
-            todo, new_row = todo[~done], [entry[~done] for entry in new_row]
-            if not todo.size:
-                return out
-        row = new_row
-        m *= 2
-    raise ToleranceNotReached(
-        f"slice refinement on [{lo}, {hi}] ({n_cells} cells) did not reach "
-        f"tol={tol:g} within {cap} slices"
-    )
+
+
+def _leaf_products(
+    pieces: list, at: np.ndarray, levels: list, left: np.ndarray, right: np.ndarray,
+    v: np.ndarray, k: np.ndarray, todo: np.ndarray,
+) -> np.ndarray:
+    """The leaf's products at the levels of one pass for k[todo], shape
+    (len(levels), len(todo), 2, 2).
+
+    The pass's slices (edges ``left``, ``right`` and v at their Gauss points)
+    run level after level and span after span; ``at`` holds the spans'
+    offsets at level 0.  ``pieces`` lists the leaf's delta and flat-span
+    matrices in spatial order, None where a sliced span goes.  One
+    ``barrier_slice_matrices`` call per chunk of k makes the slices of every
+    level, and a chunk holds at most PASS_SLICES slice matrices.  A second
+    level is first multiplied out in pairs, which stay within the spans; it
+    then has the first level's layout, and one ``chain_product`` call takes
+    both.
+    """
+    height, tilt = 0.5 * (v[:, 0] + v[:, 1]), v[:, 1] - v[:, 0]
+    offsets = at << levels[0]
+    per_pass = max(1, PASS_SLICES // height.size)
+    out = []
+    for c in range(0, todo.size, per_pass):
+        rows = todo[c:c + per_pass]
+        mats = barrier_slice_matrices(height, left, right, k[rows, None], tilt)
+        if len(levels) == 2:
+            both = np.empty((2, rows.size, offsets[-1], 2, 2), dtype=complex)
+            both[0] = mats[:, :offsets[-1]]
+            _pair_products(mats[:, offsets[-1]:], both[1])
+            mats = both
+        else:
+            mats = mats[None]
+        if any(m is not None for m in pieces):   # splice in the delta and flat-span matrices
+            spans = iter(zip(offsets[:-1], offsets[1:]))
+            mats = np.concatenate([
+                mats[:, :, slice(*next(spans))] if m is None
+                else np.broadcast_to(m[rows, None], mats.shape[:2] + (1, 2, 2))
+                for m in pieces
+            ], axis=2)
+        out.append(chain_product(mats))
+    return np.concatenate(out, axis=1)
 
 
 # ---------------------------------------------------------------------------

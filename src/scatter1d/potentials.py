@@ -830,8 +830,8 @@ def from_permittivity(grid, eps_hat, k: float, tol: float = 1e-6) -> Sampled:
         raise ValueError("grid must be uniform and increasing")
     if abs(eps[0] - 1.0) > tol or abs(eps[-1] - 1.0) > tol:
         raise ValueError("permittivity must equal 1 at both grid ends")
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if not 0 < k < np.inf:
+        raise ValueError("k must be positive and finite")
     return Sampled(grid[0], float(steps.mean()), k * k * (1.0 - eps))
 
 

@@ -406,32 +406,32 @@ _CSV_HEADER = (
 )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+_MATRIX_FIELDS = ",%.17g" * 8     # re, im of M11, M12, M21, M22
+_AMPLITUDE_FIELDS = ",%.17g" * 6  # re, im of R_left, R_right, T
 
 
 def write_scan_csv(result: ScanResult, path) -> None:
+    """One row per grid point, floats at 17 significant digits.  The numbers
+    of a row are formatted at once from Python floats; the flags and error
+    columns go through ``csv.writer``, which quotes them where needed."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
         for pt in result.points:
-            row: list[str] = [_fmt(pt.k)]
+            text = "%.17g" % pt.k
             if pt.matrix is not None:
-                for name in ENTRY_NAMES:
-                    z = pt.matrix.entry(name)
-                    row += [_fmt(z.real), _fmt(z.imag)]
+                text += _MATRIX_FIELDS % tuple(pt.matrix.m.ravel().view(float).tolist())
             else:
-                row += [""] * 8
+                text += "," * 8
             if pt.data is not None:
-                for z in (pt.data.r_left, pt.data.r_right, pt.data.t):
-                    row += [_fmt(z.real), _fmt(z.imag)]
+                amplitudes = (pt.data.r_left, pt.data.r_right, pt.data.t)
+                text += _AMPLITUDE_FIELDS % tuple(x for z in amplitudes for x in (z.real, z.imag))
             else:
-                row += [""] * 6
-            row.append(
-                "|".join(pt.classification.flags()) if pt.classification else ""
-            )
-            row.append(pt.error or "")
-            writer.writerow(row)
+                text += "," * 6
+            fh.write(text + ",")
+            writer.writerow([
+                "|".join(pt.classification.flags()) if pt.classification else "", pt.error or ""
+            ])
 
 
 def singular_summary(result: ScanResult) -> dict:

@@ -237,6 +237,27 @@ def compose_chain(pieces_left_to_right: Sequence[TransferMatrix]) -> TransferMat
     return TransferMatrix(chain_product(stack), k)
 
 
+def _pair(m11, m12, m21, m22) -> tuple:
+    """One level of ``chain_product``'s tree on the four entry arrays: the
+    products M[2i+1] @ M[2i] of every pair (the last matrix of an odd count
+    is left out)."""
+    n = m11.shape[-1]
+    left, right = slice(0, n - 1, 2), slice(1, n, 2)
+    r11, r12, r21, r22 = m11[..., right], m12[..., right], m21[..., right], m22[..., right]
+    l11, l12, l21, l22 = m11[..., left], m12[..., left], m21[..., left], m22[..., left]
+    return (r11 * l11 + r12 * l21, r11 * l12 + r12 * l22,
+            r21 * l11 + r22 * l21, r21 * l12 + r22 * l22)
+
+
+def _pair_products(a: np.ndarray, out: np.ndarray) -> None:
+    """The first level of ``chain_product``'s tree on a stack ``a`` of shape
+    (..., 2n, 2, 2): the products M[2i+1] @ M[2i], written to ``out``, shape
+    (..., n, 2, 2).  ``chain_product`` of them is ``chain_product`` of the
+    stack, operation for operation."""
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = _pair(
+        a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1])
+
+
 def chain_product(mats: np.ndarray) -> np.ndarray:
     """Product M[n-1] @ ... @ M[1] @ M[0] of a stack (..., n, 2, 2).
 
@@ -259,13 +280,7 @@ def chain_product(mats: np.ndarray) -> np.ndarray:
         n = m11.shape[-1]
         if n % 2:   # the last matrix waits for the next level
             t11, t12, t21, t22 = m11[..., -1:], m12[..., -1:], m21[..., -1:], m22[..., -1:]
-        left, right = slice(0, n - 1, 2), slice(1, n, 2)
-        r11, r12, r21, r22 = m11[..., right], m12[..., right], m21[..., right], m22[..., right]
-        l11, l12, l21, l22 = m11[..., left], m12[..., left], m21[..., left], m22[..., left]
-        m11 = r11 * l11 + r12 * l21
-        m12 = r11 * l12 + r12 * l22
-        m21 = r21 * l11 + r22 * l21
-        m22 = r21 * l12 + r22 * l22
+        m11, m12, m21, m22 = _pair(m11, m12, m21, m22)
         if n % 2:
             m11, m12 = np.concatenate([m11, t11], -1), np.concatenate([m12, t12], -1)
             m21, m22 = np.concatenate([m21, t21], -1), np.concatenate([m22, t22], -1)

@@ -1,15 +1,20 @@
 """The scatter1d command line, end to end in fresh interpreters."""
 
+import csv
+import functools
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import scatter1d as s
 from scatter1d import cli
+from scatter1d.transfer import ENTRY_NAMES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -124,3 +129,62 @@ def test_unusable_numbers_are_usage_errors(case, tmp_path, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert err == f"error: {message}\n"
     assert out == ""
+
+
+def test_main_twice_in_one_process(tmp_path, monkeypatch, capsys):
+    # the parser is built once; a usage error in between leaves no trace
+    monkeypatch.chdir(tmp_path)
+    s.save_potential(s.ExpGrating(0.3, 1, 2.0), "grating.json")
+    solve = ["solve", "--spec", "grating.json", "--k", "1.1"]
+    runs = []
+    for argv in (solve, ["solve", "--spec", "grating.json"], solve):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        runs.append((code, *capsys.readouterr()))
+    assert cli.build_parser() is cli.build_parser()
+    assert runs[1][0] == 2 and "--k" in runs[1][2]
+    assert runs[0][0] == 0 and runs[0][1]
+    assert runs[2] == runs[0]
+
+
+def f_string_profile(potential, npoints=2048):
+    """The profile CSV as formatted one numpy scalar at a time."""
+    x = np.linspace(*potential.support(), npoints)
+    v = potential.evaluate(x)
+    lines = [f"{xi:.17g},{vi.real:.17g},{vi.imag:.17g}\n" for xi, vi in zip(x, v)]
+    return "x,re_v,im_v\n" + "".join(lines)
+
+
+def f_string_scan(result):
+    """The scan CSV as formatted one field at a time through csv.writer."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(sys.modules["scatter1d.scan"]._CSV_HEADER)
+    for pt in result.points:
+        row = [f"{pt.k:.17g}"]
+        zs = [pt.matrix.entry(name) for name in ENTRY_NAMES] if pt.matrix else [None] * 4
+        zs += [pt.data.r_left, pt.data.r_right, pt.data.t] if pt.data else [None] * 3
+        for z in zs:
+            row += ["", ""] if z is None else [f"{z.real:.17g}", f"{z.imag:.17g}"]
+        row += ["|".join(pt.classification.flags()) if pt.classification else "", pt.error or ""]
+        writer.writerow(row)
+    return fh.getvalue()
+
+
+def test_csv_files_match_field_by_field_formatting(tmp_path, monkeypatch):
+    design = s.solve_single_mode(s.DesignSpec(1.0, 0.3j, 0.15, 1.0)).potential
+    s.write_profile_csv(design, tmp_path / "profile.csv")
+    assert (tmp_path / "profile.csv").read_bytes().decode() == f_string_profile(design)
+
+    # a cap of 128 slices fails some k of the grid: their rows carry an
+    # error, which holds commas and is quoted
+    capped = functools.partial(s.transfer_matrix_dynamical, max_slices=128)
+    monkeypatch.setattr(sys.modules["scatter1d.scan"], "transfer_matrix_dynamical", capped)
+    result = s.scan(s.ExpGrating(0.3 - 0.1j, 1, 2.0), 0.5, 12.0, 9, solver="dynamical",
+                    refine=False)
+    assert any(pt.error for pt in result.points) and any(pt.matrix for pt in result.points)
+    s.write_scan_csv(result, tmp_path / "scan.csv")
+    text = (tmp_path / "scan.csv").read_bytes().decode()
+    assert text == f_string_scan(result) and '"ToleranceNotReached' in text

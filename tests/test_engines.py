@@ -267,6 +267,19 @@ def repeat_reference(name, n):
     return s.compose_chain([s.translate_matrix(cell, j * ell) for j in range(n)]).m
 
 
+@functools.cache
+def mixed_leaf():
+    """Smooth, flat and delta pieces in one leaf, and its wave-equation
+    matrix: a grating and a barrier overlap on [1, 2], the barrier alone is
+    flat on [2, 3], and a delta sits inside each."""
+    p = s.Sum([
+        s.ExpGrating(0.3 - 0.1j, 1, 2.0),
+        s.PiecewiseConstant.barrier(0.5 + 0.2j, 1.0, 3.0),
+        s.DeltaComb([(0.4 - 0.3j, 0.5), (0.6j, 2.5)]),
+    ])
+    return p, wave_matrix(p, K_TEST)
+
+
 def assert_within_tol(m, ref, tol, label):
     err = np.abs(m - ref).max()
     assert err <= tol * max(1, np.linalg.norm(ref)), (label, err)
@@ -304,6 +317,46 @@ class TestStructuralSolver:
         p = s.TimeReversed(s.LocallyPeriodic(s.LocallyPeriodic(cell, 3, 5.0), 4, 16.0))
         assert numeric_leaf_copies(p) == 2 * 3 * 4
         assert numeric_leaf_copies(corpus()["locally_periodic"]) == 0
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_one_slice_pass_per_level_over_all_spans(self, n, monkeypatch):
+        # n disjoint spans are one leaf under "dynamical": a pass evaluates v
+        # once and makes one slice call for all of them, the first pass at
+        # the first two levels (m and 2m slices per span), a later one at one
+        p = s.LocallyPeriodic(PERIODIC_CELLS["grating"][0], n, 0.6)
+        level0 = {1: 64, 5: 16 * 5}[n]   # 64 on one span, 16 on each of five
+        evaluated, sliced = [], []
+        evaluate = s.Potential.evaluate
+
+        def recorded_evaluate(self, x):
+            if self is p:
+                evaluated.append(np.size(x))
+            return evaluate(self, x)
+
+        def recorded_slices(heights, *args):
+            if args[3:]:
+                sliced.append(np.size(heights))
+            return barrier_slice_matrices(heights, *args)
+
+        monkeypatch.setattr(s.Potential, "evaluate", recorded_evaluate)
+        monkeypatch.setattr(engines, "barrier_slice_matrices", recorded_slices)
+        for tol, passes in ((1e-6, 1), (1e-11, 2)):
+            evaluated.clear()
+            sliced.clear()
+            s.matrix_at(p, K_TEST, "dynamical", tol)
+            assert sliced == [3 * level0, 4 * level0][:passes], (tol, sliced)
+            # one activity probe per span (n copies and n - 1 gaps), then one
+            # evaluation per pass
+            assert len(evaluated) == 2 * n - 1 + passes, (tol, evaluated)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    def test_one_table_per_leaf_keeps_tol(self, tol):
+        p, ref = mixed_leaf()
+        assert numeric_leaf_copies(p) == 1
+        assert_within_tol(s.matrix_at(p, K_TEST, "dynamical", tol).m, ref, tol, "mixed leaf")
+        repeat = s.LocallyPeriodic(PERIODIC_CELLS["smis"][0], 5, PERIODIC_CELLS["smis"][1])
+        m = s.matrix_at(repeat, K_TEST, "dynamical", tol).m
+        assert_within_tol(m, repeat_reference("smis", 5), tol, "smis repeat")
 
     def test_fifty_copy_grating_under_50_ms(self):
         p = s.LocallyPeriodic(PERIODIC_CELLS["grating"][0], 50, 0.6)

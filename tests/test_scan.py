@@ -164,6 +164,8 @@ SCALAR_K_ENTRY_POINTS = {
     "scattering_solution": lambda k: s.scattering_solution(BARRIER, k),
     "ls_amplitudes": lambda k: s.ls_amplitudes(BARRIER, k),
     "s_curve_solve": lambda k: s.s_curve_solve(BARRIER, k),
+    "from_permittivity": lambda k: s.from_permittivity(
+        np.linspace(0.0, 1.0, 11), np.r_[1.0, np.full(9, 2.25), 1.0], k),
 }
 
 
