@@ -76,12 +76,10 @@ from .approx import (
     exp_grating_reference,
 )
 from .scan import (
-    IdentityReport,
     NoZeroFound,
     ScanPoint,
     ScanResult,
     SingularPoint,
-    check_real_potential_identities,
     default_scan_points,
     matrix_at,
     refine_zero,

@@ -33,8 +33,8 @@ internal boundaries, delta locations), which bound the dynamical engine's
 spans, plus every interpolation node, added by ``_cuts``.  No slice or step
 strides a kink: adaptive error control underestimates the error of a step
 that does, and a kink inside a slice breaks the even error expansion that
-the dynamical engine's Romberg table and the Filon quadratures' Richardson
-step rely on.
+the Romberg table relies on.  The slicing and the table (``potentials``) are
+one rule, shared by the dynamical engine and the numeric transforms.
 
 Both ODE routes keep their own equations and read-outs but step through one
 driver, ``_integrate_pieces``: DOP853 from each cut to the next, with a hook
@@ -46,14 +46,14 @@ attempt evaluates it once, at all of its stage abscissae.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import DOP853
 
 from .exact import barrier_slice_matrices, delta_matrices
-from .potentials import Potential, _cuts, _edges, _slices
+from .potentials import (SLICE_CAP, Potential, _cuts, _edges, _gauss_points, _level, _per_cell,
+                         _romberg_row, _spans, _start)
 from .transfer import (
     IDENTITY,
     KMAT,
@@ -123,14 +123,19 @@ class EffectiveHamiltonian:
         return -self.k * SIGMA3
 
 
-def _span_is_active(p: Potential, cells: np.ndarray) -> bool:
-    """Whether v is nonzero inside the span cut into ``cells``: probed at 7
-    even points, at every interpolation node inside the span and at the
-    midpoint of every node cell, which decides a linear interpolant exactly."""
-    probe = np.concatenate([
-        np.linspace(cells[0], cells[-1], 9)[1:-1], cells[1:-1], 0.5 * (cells[:-1] + cells[1:])
-    ])
-    return bool(np.any(p.evaluate(probe) != 0))
+def _active(p: Potential, spans: list) -> list:
+    """The spans on which v is nonzero, by one evaluation: each is probed at
+    7 even points, at every interpolation node inside it and at the midpoint
+    of every node cell, which decides a linear interpolant exactly."""
+    if not spans:
+        return []
+    probes = [
+        np.concatenate([np.linspace(c[0], c[-1], 9)[1:-1], c[1:-1], 0.5 * (c[:-1] + c[1:])])
+        for c in spans
+    ]
+    starts = np.cumsum([0] + [q.size for q in probes[:-1]])
+    hit = np.logical_or.reduceat(p.evaluate(np.concatenate(probes)) != 0, starts)
+    return [cells for cells, h in zip(spans, hit) if h]
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +144,7 @@ def _span_is_active(p: Potential, cells: np.ndarray) -> bool:
 
 
 def transfer_matrix_dynamical(
-    p: Potential, k, tol: float = 1e-8, max_slices: int = 2**20
+    p: Potential, k, tol: float = 1e-8, max_slices: int = SLICE_CAP
 ) -> TransferMatrix | np.ndarray:
     """Transfer matrix by fourth-order Magnus slicing with Romberg extrapolation.
 
@@ -169,24 +174,15 @@ def transfer_matrix_dynamical(
     ks = np.atleast_1d(np.asarray(k, dtype=float)).ravel()
     if not np.all((ks > 0) & (ks < np.inf)):
         raise ValueError("k must be positive and finite")
-    edges = _edges(p).tolist()
-    scale = max(abs(edges[0]), abs(edges[-1]), 1.0)
-    nodes = p.interpolation_nodes()
-    spans = [
-        _cuts([lo, hi], nodes) for lo, hi in zip(edges[:-1], edges[1:]) if hi - lo > 1e-14 * scale
-    ]
-    active = [cells for cells in spans if _span_is_active(p, cells)]
+    spans = _active(p, _spans(p))
     deltas = [(a, delta_matrices(z, a, ks)) for z, a in p.delta_terms()]
-    if active:
+    if spans:
         out = np.empty(ks.shape + (2, 2), dtype=complex)
-        total_len = sum(cells[-1] - cells[0] for cells in active)
-        n_start = np.maximum(64, np.ceil(8 * ks * total_len / math.pi))
+        n_start = _start(spans, ks)
         for start in np.unique(n_start):
             group = np.flatnonzero(n_start == start)
-            shares = [max(16, math.ceil(start * (c[-1] - c[0]) / total_len)) for c in active]
-            out[group] = _refine_leaf(
-                p, active, shares, [(a, m[group]) for a, m in deltas], ks[group], tol, max_slices
-            )
+            out[group] = _refine_leaf(p, spans, _per_cell(spans, start),
+                                      [(a, m[group]) for a, m in deltas], ks[group], tol, max_slices)
     elif deltas:
         deltas.sort(key=lambda item: item[0])
         out = chain_product(np.stack([m for _, m in deltas], axis=-3))
@@ -198,30 +194,15 @@ def transfer_matrix_dynamical(
 
 
 PASS_SLICES = 2**12   # slice matrices held by one pass over a batch of k
-GAUSS = 0.5 / math.sqrt(3.0)   # a slice's Gauss points sit at its midpoint -+ GAUSS * width
-
-
-def _gauss_points(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """The two Gauss points of every slice, in order: shape (2 * slices,)."""
-    mid, half = 0.5 * (left + right), GAUSS * (right - left)
-    return np.stack([mid - half, mid + half], axis=-1).ravel()
-
-
-def _level(spans: list, ms: list, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right slice edges of every span at level j, m * 2**j slices
-    per cell, span after span."""
-    cut = [_slices(cells, m << j) for cells, m in zip(spans, ms)]
-    return np.concatenate([left for left, _ in cut]), np.concatenate([right for _, right in cut])
 
 
 def _refine_leaf(
-    p: Potential, spans: list, shares: list, deltas: list, k: np.ndarray, tol: float, cap: int
+    p: Potential, spans: list, ms: list, deltas: list, k: np.ndarray, tol: float, cap: int
 ) -> np.ndarray:
     """Romberg-refined matrices (K, 2, 2) of a leaf for k that share their
-    start counts (``shares`` slices per span): each pass slices every span
-    once and evaluates v once for all the k, and a k leaves the batch once
-    its table converges."""
-    ms = [-(-share // (cells.size - 1)) for cells, share in zip(spans, shares)]
+    start counts (``ms`` slices per cell of each span at level 0): each pass
+    slices every span once and evaluates v once for all the k, and a k
+    leaves the batch once its table converges."""
     at = np.cumsum([0] + [(cells.size - 1) * m for cells, m in zip(spans, ms)])   # level 0 offsets
     lo, hi = float(spans[0][0]), float(spans[-1][-1])
 
@@ -265,9 +246,7 @@ def _refine_leaf(
     levels = [0, 1]   # the levels of the pass
     while True:
         for entry in _leaf_products(pieces, at, levels, left, right, v, k, todo):
-            new_row = [entry]
-            for i, prev in enumerate(row):
-                new_row.append(new_row[i] + (new_row[i] - prev) / (4 ** (i + 2) - 1))
+            new_row = _romberg_row(row, entry)
             if row:
                 best = new_row[-1]
                 scale = np.maximum(1.0, np.linalg.norm(best, axis=(-2, -1)))

@@ -7,14 +7,14 @@ terms are never sampled numerically; downstream solvers splice their exact
 transfer matrices instead.
 
 Fourier and ordered double transforms with no closed form take one route,
-``_richardson_filon``: a Richardson-refined Filon quadrature cut where the
-engines cut, at the ``_edges`` (support ends, internal boundaries, delta
-locations) and, through ``_cuts``, at every interpolation node.  The closed
-forms take one route too: piecewise-constant stacks, gratings and Fourier
-cells are windows of exponentials (``_Windowed``) whose integrals come from
-one kernel, ``_g``, and the ordered transform of disjoint pieces in spatial
-order, whether a stack's cells, a comb's deltas or a sum's parts, is one
-rule, ``_ordered_sum``.
+``_romberg_filon``: a Filon rule on the dynamical engine's slicing and
+Romberg table, which live here, cut at the ``_edges`` (support ends,
+internal boundaries, delta locations) and, through ``_cuts``, at every
+interpolation node.  The closed forms take one route too: piecewise-constant
+stacks, gratings and Fourier cells are windows of exponentials
+(``_Windowed``) whose integrals come from one kernel, ``_g``, and the
+ordered transform of disjoint pieces in spatial order, whether a stack's
+cells, a comb's deltas or a sum's parts, is one rule, ``_ordered_sum``.
 
 Units: hbar = 1, lengths dimensionless, wavenumbers in inverse length.
 """
@@ -22,7 +22,9 @@ Units: hbar = 1, lengths dimensionless, wavenumbers in inverse length.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -60,6 +62,13 @@ class QuadratureError(RuntimeError):
 class DeltaTerm(NamedTuple):
     strength: complex
     location: float
+
+
+def _require_finite(name: str, *values) -> None:
+    """Refuse NaN and infinite parameters: no solver can use them, and some
+    would return a wrong answer instead of failing."""
+    if not all(map(cmath.isfinite, values)):
+        raise ValueError(f"{name} must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -139,26 +148,27 @@ def _ordered_sum(own, first, second) -> complex:
     return total
 
 
-def _filon_cells(x: np.ndarray, y: np.ndarray, kappa: float) -> np.ndarray:
-    """Per-cell integrals of the linear interpolant of (x, y) times e^{-i kappa x}.
+def _filon_cells(lo, h, y0, dy, kappa: float) -> np.ndarray:
+    """Integral over each cell [lo, lo + h] of e^{-i kappa x} times the line
+    from y0 at lo to y0 + dy at lo + h.
 
-    The oscillatory factor is integrated exactly per cell, so accuracy is
-    limited only by the interpolation error of y, not by kappa.
+    The oscillatory factor is integrated exactly, so accuracy is limited only
+    by how well the lines follow the integrand, not by kappa.
     """
-    h = np.diff(x)
     g0, g1 = _g(-1j * kappa * h, 1)
-    return np.exp(-1j * kappa * x[:-1]) * h * (y[:-1] * g0 + np.diff(y) * g1)
+    return np.exp(-1j * kappa * lo) * h * (y0 * g0 + dy * g1)
 
 
 def _filon_linear(x: np.ndarray, y: np.ndarray, kappa: float) -> complex:
     """integral of the linear interpolant of (x, y) times e^{-i kappa x}."""
-    return complex(_filon_cells(x, y, kappa).sum())
+    return complex(_filon_cells(x[:-1], np.diff(x), y[:-1], np.diff(y), kappa).sum())
 
 
 def _filon_prefix(x: np.ndarray, y: np.ndarray, kappa: float) -> np.ndarray:
-    """Cumulative Filon integral: G[j] = integral_{x0}^{xj} e^{-i kappa t} y(t) dt."""
+    """Cumulative Filon integral: G[j] = integral_{x0}^{xj} e^{-i kappa t} y(t) dt.
+    No transform calls it; bench/tracing.py counts its points by name."""
     out = np.zeros(np.size(x), dtype=complex)
-    np.cumsum(_filon_cells(x, y, kappa), out=out[1:])
+    np.cumsum(_filon_cells(x[:-1], np.diff(x), y[:-1], np.diff(y), kappa), out=out[1:])
     return out
 
 
@@ -182,45 +192,90 @@ def _cuts(edges, nodes: np.ndarray) -> np.ndarray:
     return np.union1d(edges, nodes[(nodes > lo + gap) & (nodes < hi - gap)])
 
 
+# ---------------------------------------------------------------------------
+# One slicing and Romberg rule for the numeric transforms and the engine
+# ---------------------------------------------------------------------------
+
+SLICE_CAP = 2**20   # slices of one leaf at one level
+GAUSS = 0.5 / math.sqrt(3.0)   # a slice's Gauss points sit at its midpoint -+ GAUSS * width
+
+
+def _spans(p: Potential) -> list[np.ndarray]:
+    """The cells of each span of p that is longer than roundoff."""
+    edges = _edges(p).tolist()
+    scale = max(abs(edges[0]), abs(edges[-1]), 1.0)
+    nodes = p.interpolation_nodes()
+    return [_cuts([lo, hi], nodes)
+            for lo, hi in zip(edges[:-1], edges[1:]) if hi - lo > 1e-14 * scale]
+
+
+def _start(spans: list, k):
+    """Level-0 slices of the spans at wavenumber k (scalar or array):
+    max(64, ceil(8 k L / pi)), L their total length."""
+    return np.maximum(64, np.ceil(8 * k * sum(c[-1] - c[0] for c in spans) / math.pi))
+
+
+def _per_cell(spans: list, start) -> list[int]:
+    """Level-0 slices per cell of each span: its share of ``start`` by
+    length, at least 16, spread over its cells and rounded up."""
+    total = sum(c[-1] - c[0] for c in spans)
+    return [-(-max(16, math.ceil(start * (c[-1] - c[0]) / total)) // (c.size - 1)) for c in spans]
+
+
 def _slices(cells: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Left and right edges of m equal slices in every cell."""
     left = (cells[:-1, None] + np.diff(cells)[:, None] * (np.arange(m) / m)).ravel()
     return left, np.append(left[1:], cells[-1])
 
 
-QUADRATURE_POINTS = 2**20   # grid cap of the numeric transforms
+def _level(spans: list, ms: list, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right slice edges of every span at level j, m * 2**j slices
+    per cell, span after span."""
+    cut = [_slices(cells, m << j) for cells, m in zip(spans, ms)]
+    return np.concatenate([left for left, _ in cut]), np.concatenate([right for _, right in cut])
 
 
-def _richardson_filon(p: Potential, rule, tol: float, name: str) -> complex:
-    """Filon quadrature ``rule(x, y)`` of p's smooth part on the dynamical
-    engine's cuts and slices (``_cuts``, ``_slices``).
+def _gauss_points(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The two Gauss points of every slice, in order, never a cut: shape (2 * slices,)."""
+    mid, half = 0.5 * (left + right), GAUSS * (right - left)
+    return np.stack([mid - half, mid + half], axis=-1).ravel()
 
-    Unlike that engine's Gauss-point Magnus slices and Romberg table, it
-    keeps a midpoint rule and one Richardson step: v is taken at slice
-    midpoints and held on each slice (every slice edge appears twice in x),
-    so it is never sampled at a cut, where an overlapping sum may jump.
-    Every level halves every slice; the error is even in the slice width,
-    so one Richardson step (4 F_2n - F_n)/3 makes it 4th order, and two
-    successive Richardson values that agree within tol are accepted.
-    """
-    # the cuts plus 64 equal cells of the support, so that no cell starts wide
-    cells = _cuts(np.union1d(_edges(p), np.linspace(*p.support(), 65)), p.interpolation_nodes())
-    m = 1
-    prev = prev_rich = None
-    while 2 * (cells.size - 1) * m <= QUADRATURE_POINTS:
-        left, right = _slices(cells, m)
-        x = np.stack([left, right], axis=-1).ravel()
-        val = rule(x, np.repeat(p.evaluate(0.5 * (left + right)), 2))
-        if prev is not None:
-            rich = (4 * val - prev) / 3
-            if prev_rich is not None and abs(rich - prev_rich) <= tol * max(1.0, abs(rich)):
-                return rich
-            prev_rich = rich
-        prev = val
-        m *= 2
-    raise QuadratureError(
-        f"{name} quadrature did not converge to {tol:g} (last value {prev})"
-    )
+
+def _romberg_row(row: list, entry) -> list:
+    """The next row of a Romberg table: ``entry``, the newest level's value,
+    then each column's h^4, h^6, ... term removed (weights 1/15, 1/63, ...)."""
+    new_row = [entry]
+    for i, prev in enumerate(row):
+        new_row.append(new_row[i] + (new_row[i] - prev) / (4 ** (i + 2) - 1))
+    return new_row
+
+
+def _gauss_filon(left, right, v: np.ndarray, kappa: float, tau) -> np.ndarray:
+    """Integral of e^{-i kappa x} times the line through each slice's two
+    Gauss values v (shape (slices, 2)), from the slice's left edge over each
+    fraction tau of its width: shape (slices, len(tau))."""
+    slope = (v[:, 1] - v[:, 0]) / (2 * GAUSS)   # per unit fraction of the width
+    at_left = v[:, 0] - (0.5 - GAUSS) * slope
+    return _filon_cells(left[:, None], (right - left)[:, None] * tau, at_left[:, None],
+                        slope[:, None] * tau, kappa)
+
+
+def _romberg_filon(p: Potential, k: float, rule, tol: float, name: str) -> complex:
+    """A transform of p's smooth part by ``rule(left, right, v)`` on the
+    slices of every level, v at their Gauss points and evaluated once a
+    level, Romberg-refined and accepted as in the dynamical engine at k."""
+    spans = _spans(p)
+    ms = _per_cell(spans, _start(spans, k))
+    row = []
+    for j in itertools.count():
+        left, right = _level(spans, ms, j)
+        if left.size > SLICE_CAP:
+            raise QuadratureError(f"{name} quadrature did not reach {tol:g} in {SLICE_CAP} slices")
+        v = p.evaluate(_gauss_points(left, right)).reshape(-1, 2)
+        new_row = _romberg_row(row, rule(left, right, v))
+        if row and abs(new_row[-1] - new_row[-2]) <= tol * max(1.0, abs(new_row[-1])):
+            return complex(new_row[-1])
+        row = new_row
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +321,24 @@ class Potential:
         return self._double_fourier(k1, k2, tol)
 
     def _fourier_smooth(self, kappa: float, tol: float) -> complex:
-        return _richardson_filon(self, lambda x, v: _filon_linear(x, v, kappa), tol, "fourier")
+        def rule(left, right, v):
+            return _gauss_filon(left, right, v, kappa, (1.0,)).sum()
+
+        return _romberg_filon(self, 0.5 * abs(kappa), rule, tol, "fourier")
 
     def _double_fourier(self, k1: float, k2: float, tol: float) -> complex:
         if self.delta_terms():
             raise NotImplementedError(
                 "ordered double transform with delta terms has no generic quadrature"
             )
-        def rule(x, v):
-            return _filon_linear(x, v * _filon_prefix(x, v, k1), k2)
+        def rule(left, right, v):
+            # the k1 prefix at each Gauss point: at the slice's left edge, plus
+            # the slice's line up to the point
+            inner = _gauss_filon(left, right, v, k1, (0.5 - GAUSS, 0.5 + GAUSS, 1.0))
+            prefix = np.concatenate([[0.0], np.cumsum(inner[:-1, 2])])
+            return _gauss_filon(left, right, v * (prefix[:, None] + inner[:, :2]), k2, (1.0,)).sum()
 
-        return _richardson_filon(self, rule, tol, "double-fourier")
+        return _romberg_filon(self, 0.5 * max(abs(k1), abs(k2)), rule, tol, "double-fourier")
 
     # -- misc ---------------------------------------------------------------
 
@@ -327,6 +389,7 @@ class DeltaComb(Potential):
 
     def __init__(self, terms: Sequence[tuple[complex, float]]):
         parsed = tuple(DeltaTerm(complex(z), float(a)) for z, a in terms)
+        _require_finite("delta strengths and locations", *(x for t in parsed for x in t))
         if not parsed:
             raise ValueError("DeltaComb needs at least one term")
         locs = [t.location for t in parsed]
@@ -376,6 +439,7 @@ class PiecewiseConstant(_Windowed):
     def __init__(self, breakpoints: Sequence[float], values: Sequence[complex]):
         bp = tuple(float(b) for b in breakpoints)
         vals = tuple(complex(v) for v in values)
+        _require_finite("breakpoints and values", *bp, *vals)
         if len(bp) < 2 or len(vals) != len(bp) - 1:
             raise ValueError("need m+1 breakpoints for m cell values, m >= 1")
         if any(b <= a for a, b in zip(bp, bp[1:])):
@@ -422,6 +486,7 @@ class ExpGrating(_Windowed):
     offset: float = 0.0
 
     def __init__(self, strength: complex, harmonic: int, length: float, offset: float = 0.0):
+        _require_finite("strength, harmonic, length and offset", strength, harmonic, length, offset)
         if length <= 0:
             raise ValueError("length must be positive")
         if int(harmonic) < 1:
@@ -467,12 +532,10 @@ class FourierCell(_Windowed):
     length: float
 
     def __init__(self, coefficients, length: float):
+        items = tuple(coefficients.items() if hasattr(coefficients, "items") else coefficients)
+        _require_finite("coefficients and length", *(x for item in items for x in item), length)
         if length <= 0:
             raise ValueError("length must be positive")
-        if hasattr(coefficients, "items"):
-            items = coefficients.items()
-        else:
-            items = coefficients
         parsed = tuple(sorted((int(n), complex(z)) for n, z in items if complex(z) != 0))
         if not parsed:
             raise ValueError("need at least one nonzero coefficient")
@@ -530,6 +593,7 @@ class SmisProfile(Potential):
     conjugated: bool = False
 
     def __init__(self, k0, alpha, winding, translation=0.0, conjugated=False):
+        _require_finite("k0, alpha, winding and translation", k0, alpha, winding, translation)
         if k0 <= 0:
             raise ValueError("k0 must be positive")
         if alpha <= -0.25:
@@ -584,6 +648,8 @@ class Sampled(Potential):
         vals = np.asarray(values, dtype=complex)
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("need a 1D array of at least two samples")
+        if not (np.isfinite(vals).all() and cmath.isfinite(x0) and cmath.isfinite(dx)):
+            raise ValueError("x0, dx and values must be finite")
         if dx <= 0:
             raise ValueError("dx must be positive")
         object.__setattr__(self, "x0", float(x0))
@@ -695,6 +761,9 @@ class Translated(Potential):
     inner: Potential
     shift: float
 
+    def __post_init__(self):
+        _require_finite("shift", self.shift)
+
     def support(self):
         a, b = self.inner.support()
         return (a + self.shift, b + self.shift)
@@ -766,6 +835,7 @@ class LocallyPeriodic(Potential):
     _sum: Sum = field(init=False, repr=False, compare=False)
 
     def __init__(self, cell: Potential, copies: int, period: float):
+        _require_finite("copies and period", copies, period)
         a, b = cell.support()
         if period < b - a - 1e-12 * max(1.0, abs(b), abs(a)):
             raise ValueError("period must be at least the cell support length")

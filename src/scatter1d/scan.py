@@ -37,11 +37,9 @@ __all__ = [
     "matrix_at",
     "scan",
     "refine_zero",
-    "check_real_potential_identities",
     "ScanPoint",
     "ScanResult",
     "SingularPoint",
-    "IdentityReport",
     "NoZeroFound",
     "default_scan_points",
     "write_scan_csv",
@@ -339,59 +337,6 @@ def _entry_independent(p: Potential, k: float, entry: str, tol: float) -> comple
     if entry == "M12":
         return scattering_solution(p, k, "right", tol).a_plus
     return np.conj(scattering_solution(TimeReversed(p), k, "left", tol).a_minus)
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """Violations of the real-potential identities at one wavenumber."""
-
-    k: float
-    m11_conj_m22: float      # |M11 - M22*|
-    m12_conj_m21: float      # |M12 - M21*|
-    reflection_reciprocity: float  # ||R_l| - |R_r||
-    unitarity: float         # ||R|^2 + |T|^2 - 1| (max over sides)
-
-    @property
-    def max_violation(self) -> float:
-        return max(
-            self.m11_conj_m22,
-            self.m12_conj_m21,
-            self.reflection_reciprocity,
-            self.unitarity,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "m11_conj_m22": self.m11_conj_m22,
-            "m12_conj_m21": self.m12_conj_m21,
-            "reflection_reciprocity": self.reflection_reciprocity,
-            "unitarity": self.unitarity,
-            "max_violation": self.max_violation,
-        }
-
-
-def check_real_potential_identities(
-    p: Potential, k: float, solver: str = "auto", tol: float = 1e-10
-) -> IdentityReport:
-    """Measure M11 = M22*, M12 = M21*, |R_l| = |R_r|, |R|^2 + |T|^2 = 1.
-
-    These hold for real-valued potentials; for complex ones the report simply
-    records the (expected) violations.
-    """
-    m = matrix_at(p, k, solver, tol)
-    data = m.amplitudes()
-    uni = max(
-        abs(abs(data.r_left) ** 2 + abs(data.t) ** 2 - 1.0),
-        abs(abs(data.r_right) ** 2 + abs(data.t) ** 2 - 1.0),
-    )
-    return IdentityReport(
-        k=k,
-        m11_conj_m22=abs(m.m11 - np.conj(m.m22)),
-        m12_conj_m21=abs(m.m12 - np.conj(m.m21)),
-        reflection_reciprocity=abs(abs(data.r_left) - abs(data.r_right)),
-        unitarity=uni,
-    )
 
 
 # ---------------------------------------------------------------------------

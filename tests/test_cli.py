@@ -116,6 +116,27 @@ NUMBER_ERRORS = {   # argparse keeps the last of a repeated option
     "approx_exact_smis": (["approx", "--spec", "smis.json", "--k", "1.0", "--solver", "exact"],
                           "no closed form for SmisProfile"),
 }
+BARRIER_JSON = '{"type": "piecewise", "breakpoints": [0, 1], "values": [1]}'
+NON_FINITE_SPECS = {   # JSON specs may hold NaN and Infinity
+    "piecewise_nan": ('{"type": "piecewise", "breakpoints": [0, NaN, 1], "values": [1, 1]}',
+                      "breakpoints and values"),
+    "period_nan": ('{"type": "locally_periodic", "copies": 3, "period": NaN, "cell": %s}'
+                   % BARRIER_JSON, "copies and period"),
+    "shift_nan": ('{"type": "translated", "shift": NaN, "inner": %s}' % BARRIER_JSON, "shift"),
+    "grating_length_inf": ('{"type": "exp_grating", "strength": [0.3, 0], "harmonic": 1,'
+                           ' "length": Infinity}', "strength, harmonic, length and offset"),
+    "grating_harmonic_inf": ('{"type": "exp_grating", "strength": [0.3, 0], "harmonic": Infinity,'
+                             ' "length": 1}', "strength, harmonic, length and offset"),
+    "sampled_dx_nan": ('{"type": "sampled", "x0": 0, "dx": NaN, "values": [1, 2, 3]}',
+                       "x0, dx and values"),
+    "smis_alpha_nan": ('{"type": "smis", "k0": 1.0, "alpha": NaN, "winding": 2}',
+                       "k0, alpha, winding and translation"),
+}
+NUMBER_ERRORS.update({
+    name: (["solve", "--spec", f"{name}.json", "--k", "1.0"],
+           f"cannot read potential spec '{name}.json': {what} must be finite")
+    for name, (_, what) in NON_FINITE_SPECS.items()
+})
 
 
 @pytest.mark.parametrize("case", NUMBER_ERRORS)
@@ -124,6 +145,8 @@ def test_unusable_numbers_are_usage_errors(case, tmp_path, monkeypatch, capsys):
     s.save_potential(s.ExpGrating(0.3, 1, 2.0), "grating.json")
     s.save_potential(s.DeltaComb([(0.8 + 0.4j, 0.2)]), "delta.json")
     s.save_potential(s.SmisProfile(1.0, 0.02, 2, 0.3), "smis.json")
+    for name, (text, _) in NON_FINITE_SPECS.items():
+        Path(f"{name}.json").write_text(text)
     argv, message = NUMBER_ERRORS[case]
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()

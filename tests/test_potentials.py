@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import scatter1d as s
 from conftest import assert_close, corpus, smooth_corpus
+from scatter1d.potentials import _edges, _per_cell, _spans, _start
 
 
 class TestEvaluate:
@@ -99,6 +100,26 @@ class TestValidation:
     def test_breakpoints(self):
         with pytest.raises(ValueError):
             s.PiecewiseConstant((0.0, 0.0), (1.0,))
+
+    BARRIER = s.PiecewiseConstant.barrier(1.0, 0.0, 1.0)
+    NON_FINITE = {
+        "delta_comb": lambda: s.DeltaComb([(1.0, np.nan)]),
+        "piecewise": lambda: s.PiecewiseConstant((0.0, np.nan, 1.0), (1.0, 1.0)),
+        "exp_grating": lambda: s.ExpGrating(0.3, 1, np.inf),
+        "exp_grating_harmonic": lambda: s.ExpGrating(0.3, np.inf, 1.0),
+        "fourier_cell": lambda: s.FourierCell({1: complex(0.2, np.nan)}, 1.0),
+        "smis": lambda: s.SmisProfile(1.0, np.nan, 2),
+        "sampled": lambda: s.Sampled(0.0, np.nan, [1.0, 2.0]),
+        "translated": lambda: s.Translated(TestValidation.BARRIER, np.nan),
+        "locally_periodic": lambda: s.LocallyPeriodic(TestValidation.BARRIER, 3, np.nan),
+        "permittivity_grid": lambda: s.from_permittivity([0.0, np.nan, 2.0], [1.0, 2.0, 1.0], 1.0),
+        "permittivity_eps": lambda: s.from_permittivity([0.0, 1.0, 2.0], [1.0, np.nan, 1.0], 1.0),
+    }
+
+    @pytest.mark.parametrize("case", NON_FINITE)
+    def test_non_finite_parameters(self, case):
+        with pytest.raises(ValueError, match="must be finite"):
+            self.NON_FINITE[case]()
 
 
 class TestFourier:
@@ -287,21 +308,64 @@ def numeric_transform_cases():
     return cases
 
 
+def dyson_pairs(kappa):
+    """The (k1, k2) of dyson_order2's ordered transforms for k = kappa / 2."""
+    return ((0.0, 0.0), (-kappa, kappa), (kappa, -kappa), (kappa, 0.0), (0.0, kappa),
+            (-kappa, 0.0), (0.0, -kappa))
+
+
 class TestNumericTransforms:
     """Numeric transforms keep tol against nested Gauss-Legendre, relative to
-    max(1, |reference|), at the arguments of dyson_order2 for k = 1.15."""
+    max(1, |reference|), at the arguments of dyson_order2 for k = 1.15, and
+    for k = 4.5 and 12.5, where the start count must grow with kappa."""
 
     K2 = 2.3
-    PAIRS = ((0.0, 0.0), (-K2, K2), (K2, -K2), (K2, 0.0), (0.0, K2), (-K2, 0.0), (0.0, -K2))
+    PAIRS = dyson_pairs(K2)
 
     @pytest.mark.parametrize("name", sorted(numeric_transform_cases()))
     def test_within_tol_of_gauss_legendre(self, name):
+        self.check(name, self.K2)
+
+    @pytest.mark.parametrize("name", sorted(numeric_transform_cases()))
+    @pytest.mark.parametrize("kappa", [9.0, 25.0])
+    def test_within_tol_at_large_kappa(self, name, kappa):
+        self.check(name, kappa)
+
+    def test_slices_as_the_engine_never_at_an_edge(self, monkeypatch):
+        # an overlapping sum whose parts jump at their ends: the transforms
+        # take v at Gauss points only, one evaluation per Romberg level, and
+        # level 0 has the engine's start count at k = |kappa| / 2
+        smis = s.SmisProfile(1.0, 0.02, 1, 0.4)
+        p = s.Sum([s.PiecewiseConstant.barrier(0.5 + 0.2j, 0.0, 1.0), smis])
+        assert p.overlapping
+        edges = _edges(p)
+        calls = []
+        evaluate = s.Potential.evaluate
+
+        def recorded_evaluate(self, x):
+            calls.append((self, np.array(x)))
+            return evaluate(self, x)
+
+        monkeypatch.setattr(s.Potential, "evaluate", recorded_evaluate)
+        for leaf, transform, args in ((smis, p.fourier, (-self.K2,)),
+                                      (p, p.double_fourier, (25.0, -self.K2))):
+            calls.clear()
+            transform(*args)
+            assert not np.isin(np.concatenate([x for _, x in calls]), edges).any()
+            spans = _spans(leaf)
+            ms = _per_cell(spans, _start(spans, 0.5 * max(map(abs, args))))
+            level0 = sum(m * (cells.size - 1) for cells, m in zip(spans, ms))
+            sizes = [x.size for q, x in calls if q is leaf]
+            assert len(sizes) >= 2 and sizes == [2 * level0 << j for j in range(len(sizes))]
+
+    @staticmethod
+    def check(name, kappa):
         p, single = numeric_transform_cases()[name]
         checks = [(p.double_fourier, args, reference_double_fourier(p, *args))
-                  for args in self.PAIRS]
+                  for args in dyson_pairs(kappa)]
         if single:
             checks += [(p.fourier, (kap,), reference_fourier(p, kap))
-                       for kap in (0.0, self.K2, -self.K2)]
+                       for kap in (0.0, kappa, -kappa)]
         for tol in (1e-8, 1e-10):
             for transform, args, ref in checks:
                 err = abs(transform(*args, tol=tol) - ref) / max(1.0, abs(ref))
