@@ -77,7 +77,6 @@ from .approx import (
 )
 from .scan import (
     NoZeroFound,
-    ScanPoint,
     ScanResult,
     SingularPoint,
     default_scan_points,

@@ -7,7 +7,9 @@ entries one-sided reflectionlessness.  Zeros are located by minimizing
 
 k is a batch axis of ``matrix_at``: ``scan`` solves its whole grid in one
 call, and a grid on which some k fails is solved again point by point, so
-that each point records its own error.
+that each point records its own error.  A scan's results are arrays over its
+grid: the matrix stack, the classification flags and the errors; objects
+are built only for the refined singular points.
 """
 
 from __future__ import annotations
@@ -26,18 +28,18 @@ from .transfer import (
     DEFAULT_ZERO_TOL,
     ENTRY_INDEX,
     ENTRY_NAMES,
+    FLAG_NAMES,
     Classification,
-    ScatteringData,
-    SpectralSingularityError,
     TransferMatrix,
+    _amplitude_dictionary,
     classify,
+    flag_stack,
 )
 
 __all__ = [
     "matrix_at",
     "scan",
     "refine_zero",
-    "ScanPoint",
     "ScanResult",
     "SingularPoint",
     "NoZeroFound",
@@ -97,18 +99,15 @@ def default_scan_points(p: Potential, k_min: float, k_max: float, density: int =
     Real zeros of the analytic entries are isolated but their spacing is not
     known a priori; this heuristic respects the support length.
     """
+    _check_finite(k_min, k_max)
     a, b = p.support()
     span = max(b - a, 1e-12)
     return max(2, math.ceil(density * (k_max - k_min) * span / (2 * math.pi)))
 
 
-@dataclass(frozen=True)
-class ScanPoint:
-    k: float
-    matrix: TransferMatrix | None
-    data: ScatteringData | None
-    classification: Classification | None
-    error: str | None = None
+def _check_finite(k_min: float, k_max: float) -> None:
+    if not (math.isfinite(k_min) and math.isfinite(k_max)):
+        raise ValueError("k must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -139,8 +138,15 @@ class SingularPoint:
 
 @dataclass
 class ScanResult:
+    """A scan's results as arrays over its grid of n wavenumbers ``k``:
+    ``matrices`` (n, 2, 2), NaN where the solve failed; ``flags``
+    (n, len(FLAG_NAMES)), the ``flag_stack`` of the matrices; ``errors``, the
+    failure of each point or None."""
+
     k: np.ndarray
-    points: list[ScanPoint]
+    matrices: np.ndarray
+    flags: np.ndarray
+    errors: list[str | None]
     singular_points: list[SingularPoint] = field(default_factory=list)
     solver: str = "auto"
 
@@ -155,43 +161,32 @@ def scan(
     zero_tol: float = DEFAULT_ZERO_TOL,
     refine: bool = True,
 ) -> ScanResult:
-    """Sweep [k_min, k_max], recording M(k), amplitudes and classifications.
+    """Sweep [k_min, k_max], recording M(k) and its classification flags.
 
     Solver failures are recorded per point and the sweep continues.  When
     ``refine`` is set, promising local minima of each |entry| are polished
     with ``refine_zero`` and accepted singular points are attached.
     """
+    _check_finite(k_min, k_max)
     if not (0 < k_min < k_max):
         raise ValueError("need 0 < k_min < k_max")
     if points < 2:
         raise ValueError("need at least two grid points")
     grid = np.linspace(k_min, k_max, points)
+    errors: list[str | None] = [None] * points
     try:
         mats = matrix_at(p, grid, solver, tol)
-        pts = [_point(k, TransferMatrix(m, k), zero_tol) for k, m in zip(grid, mats)]
     except Exception:  # some k failed: each point records its own error alone
         mats = np.full((points, 2, 2), np.nan, dtype=complex)
-        pts = []
-        for i, k in enumerate(grid):
+        for i in range(points):
             try:
-                m = matrix_at(p, float(k), solver, tol)
+                mats[i] = matrix_at(p, grid[i:i + 1], solver, tol)[0]
             except Exception as exc:  # recorded, scan continues
-                pts.append(ScanPoint(float(k), None, None, None, f"{type(exc).__name__}: {exc}"))
-                continue
-            mats[i] = m.m
-            pts.append(_point(k, m, zero_tol))
-    result = ScanResult(grid, pts, solver=solver)
+                errors[i] = f"{type(exc).__name__}: {exc}"
+    result = ScanResult(grid, mats, flag_stack(mats, zero_tol), errors, solver=solver)
     if refine:
         result.singular_points = _refine_from_grid(p, grid, mats, solver, tol, zero_tol)
     return result
-
-
-def _point(k: float, m: TransferMatrix, zero_tol: float) -> ScanPoint:
-    try:
-        data = m.amplitudes()
-    except SpectralSingularityError:
-        data = None
-    return ScanPoint(float(k), m, data, classify(m, zero_tol))
 
 
 def _refine_from_grid(
@@ -351,32 +346,22 @@ _CSV_HEADER = (
 )
 
 
-_MATRIX_FIELDS = ",%.17g" * 8     # re, im of M11, M12, M21, M22
-_AMPLITUDE_FIELDS = ",%.17g" * 6  # re, im of R_left, R_right, T
-
-
 def write_scan_csv(result: ScanResult, path) -> None:
-    """One row per grid point, floats at 17 significant digits.  The numbers
-    of a row are formatted at once from Python floats; the flags and error
-    columns go through ``csv.writer``, which quotes them where needed."""
+    """One row per grid point, floats at 17 significant digits: the matrix,
+    then the amplitudes unless refused, fields left blank where missing.  The
+    numbers of a row are formatted at once from Python floats; the flags and
+    error columns go through ``csv.writer``, which quotes them where needed."""
+    norms = np.linalg.norm(result.matrices, axis=(-2, -1)).tolist()
+    rows = zip(result.k.tolist(), result.matrices.reshape(-1, 4).tolist(), norms,
+               result.flags.tolist(), result.errors)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
-        for pt in result.points:
-            text = "%.17g" % pt.k
-            if pt.matrix is not None:
-                text += _MATRIX_FIELDS % tuple(pt.matrix.m.ravel().view(float).tolist())
-            else:
-                text += "," * 8
-            if pt.data is not None:
-                amplitudes = (pt.data.r_left, pt.data.r_right, pt.data.t)
-                text += _AMPLITUDE_FIELDS % tuple(x for z in amplitudes for x in (z.real, z.imag))
-            else:
-                text += "," * 6
-            fh.write(text + ",")
-            writer.writerow([
-                "|".join(pt.classification.flags()) if pt.classification else "", pt.error or ""
-            ])
+        for k, entries, norm, flags, error in rows:
+            zs = [] if error else entries + list(_amplitude_dictionary(*entries[1:], norm) or ())
+            parts = [x for z in zs for x in (z.real, z.imag)]
+            fh.write(("%.17g" + ",%.17g" * len(parts)) % (k, *parts) + "," * (15 - len(parts)))
+            writer.writerow(["|".join(n for n, f in zip(FLAG_NAMES, flags) if f), error or ""])
 
 
 def singular_summary(result: ScanResult) -> dict:
@@ -385,7 +370,7 @@ def singular_summary(result: ScanResult) -> dict:
         "solver": result.solver,
         "k_min": float(result.k[0]),
         "k_max": float(result.k[-1]),
-        "points": len(result.points),
-        "errors": sum(1 for pt in result.points if pt.error),
+        "points": len(result.k),
+        "errors": sum(1 for error in result.errors if error),
         "singular_points": [sp.to_dict() for sp in result.singular_points],
     }

@@ -47,6 +47,7 @@ __all__ = [
     "time_reverse_matrix",
     "time_reverse_stack",
     "classify",
+    "flag_stack",
     "chain_product",
 ]
 
@@ -196,13 +197,23 @@ class ScatteringData:
 def amplitudes_from_matrix(m: TransferMatrix, zero_tol: float = AMPLITUDE_ZERO_TOL) -> ScatteringData:
     """(R_left, R_right, T) = (-M21/M22, M12/M22, 1/M22).
 
-    Raises SpectralSingularityError when |M22| < zero_tol * ||M||, so scans can
+    Raises SpectralSingularityError when |M22| < zero_tol * ||M||, so a caller can
     record a singularity instead of propagating huge finite values.
     """
-    m22 = m.m22
-    if abs(m22) < zero_tol * max(m.norm(), 1e-300):
-        raise SpectralSingularityError(m.k, m22)
-    return ScatteringData(-m.m21 / m22, m.m12 / m22, 1.0 / m22, m.k)
+    amplitudes = _amplitude_dictionary(m.m12, m.m21, m.m22, m.norm(), zero_tol)
+    if amplitudes is None:
+        raise SpectralSingularityError(m.k, m.m22)
+    return ScatteringData(*amplitudes, m.k)
+
+
+def _amplitude_dictionary(
+    m12: complex, m21: complex, m22: complex, norm: float, zero_tol: float = AMPLITUDE_ZERO_TOL
+) -> tuple[complex, complex, complex] | None:
+    """(R_left, R_right, T) of one matrix in Python complex arithmetic, or None
+    where |M22| < zero_tol * norm and the amplitudes are refused."""
+    if abs(m22) < zero_tol * max(norm, 1e-300):
+        return None
+    return -m21 / m22, m12 / m22, 1.0 / m22
 
 
 def matrix_from_amplitudes(d: ScatteringData) -> TransferMatrix:
@@ -357,26 +368,24 @@ class Classification:
 
 
 def classify(m: TransferMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> Classification:
-    scale = max(m.norm(), 1e-300)
-    thresh = zero_tol * scale
-    ss = abs(m.m22) < thresh
-    trss = abs(m.m11) < thresh
-    left_rl = abs(m.m21) < thresh
-    right_rl = abs(m.m12) < thresh
-    left_inv = right_inv = False
-    if not ss:
-        t = 1.0 / m.m22
-        unit_t = abs(t - 1.0) < zero_tol * max(1.0, abs(t))
-        left_inv = left_rl and unit_t
-        right_inv = right_rl and unit_t
-    return Classification(
-        spectral_singularity=ss,
-        time_reversed_ss=trss,
-        self_dual=ss and trss,
-        left_reflectionless=left_rl,
-        right_reflectionless=right_rl,
-        left_invisible=left_inv,
-        right_invisible=right_inv,
-        cpa_ratio=m.m21 if trss else None,
-        zero_tol=zero_tol,
+    flags = dict(zip(FLAG_NAMES, flag_stack(m.m, zero_tol).tolist()))
+    cpa_ratio = m.m21 if flags["time_reversed_ss"] else None
+    return Classification(**flags, cpa_ratio=cpa_ratio, zero_tol=zero_tol)
+
+
+def flag_stack(m: np.ndarray, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
+    """The ``Classification`` flags of a stack (..., 2, 2), shape
+    (..., len(FLAG_NAMES)) in FLAG_NAMES order: an entry is zero where its
+    modulus is below zero_tol * ||M||, and invisibility needs T = 1/M22 within
+    zero_tol as well.  A NaN matrix raises no flag."""
+    m = np.asarray(m, dtype=complex)
+    thresh = zero_tol * np.maximum(np.linalg.norm(m, axis=(-2, -1)), 1e-300)
+    ss, trss, left_rl, right_rl = (
+        np.abs(m[..., i, j]) < thresh for i, j in ((1, 1), (0, 0), (1, 0), (0, 1))
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = 1.0 / m[..., 1, 1]
+        unit_t = ~ss & (np.abs(t - 1.0) < zero_tol * np.maximum(1.0, np.abs(t)))
+    return np.stack(
+        [ss, trss, ss & trss, left_rl, right_rl, left_rl & unit_t, right_rl & unit_t], axis=-1
     )

@@ -181,18 +181,26 @@ def f_string_profile(potential, npoints=2048):
 
 
 def f_string_scan(result):
-    """The scan CSV as formatted one field at a time through csv.writer."""
+    """The scan CSV as formatted one field at a time through csv.writer, each
+    row built from the scalar rules: ``TransferMatrix``, its amplitudes and
+    ``classify``."""
     fh = io.StringIO(newline="")
     writer = csv.writer(fh)
     writer.writerow(sys.modules["scatter1d.scan"]._CSV_HEADER)
-    for pt in result.points:
-        row = [f"{pt.k:.17g}"]
-        zs = [pt.matrix.entry(name) for name in ENTRY_NAMES] if pt.matrix else [None] * 4
-        zs += [pt.data.r_left, pt.data.r_right, pt.data.t] if pt.data else [None] * 3
+    for k, mat, error in zip(result.k, result.matrices, result.errors):
+        row, zs, flags = [f"{k:.17g}"], [None] * 7, ""
+        if error is None:
+            m = s.TransferMatrix(mat, k)
+            zs[:4] = [m.entry(name) for name in ENTRY_NAMES]
+            try:
+                data = m.amplitudes()
+                zs[4:] = [data.r_left, data.r_right, data.t]
+            except s.SpectralSingularityError:
+                pass
+            flags = "|".join(s.classify(m).flags())
         for z in zs:
             row += ["", ""] if z is None else [f"{z.real:.17g}", f"{z.imag:.17g}"]
-        row += ["|".join(pt.classification.flags()) if pt.classification else "", pt.error or ""]
-        writer.writerow(row)
+        writer.writerow(row + [flags, error or ""])
     return fh.getvalue()
 
 
@@ -207,7 +215,7 @@ def test_csv_files_match_field_by_field_formatting(tmp_path, monkeypatch):
     monkeypatch.setattr(sys.modules["scatter1d.scan"], "transfer_matrix_dynamical", capped)
     result = s.scan(s.ExpGrating(0.3 - 0.1j, 1, 2.0), 0.5, 12.0, 9, solver="dynamical",
                     refine=False)
-    assert any(pt.error for pt in result.points) and any(pt.matrix for pt in result.points)
+    assert None in result.errors and any(result.errors)
     s.write_scan_csv(result, tmp_path / "scan.csv")
     text = (tmp_path / "scan.csv").read_bytes().decode()
     assert text == f_string_scan(result) and '"ToleranceNotReached' in text

@@ -57,10 +57,11 @@ def test_real_barrier_reflectionless_at_resonances():
 
 def test_exact_solver_records_every_failure_and_returns():
     result = s.scan(s.ExpGrating(0.3, 1, 2.0), 0.5, 1.5, 7, solver="exact")
-    assert len(result.points) == 7
-    for pt in result.points:
-        assert pt.matrix is None and pt.data is None
-        assert pt.error.startswith("NotExactlySolvable")
+    assert result.k.shape == (7,) and result.matrices.shape == (7, 2, 2)
+    assert np.isnan(result.matrices).all() and not result.flags.any()
+    assert len(result.errors) == 7
+    for error in result.errors:
+        assert error.startswith("NotExactlySolvable")
     assert result.singular_points == []
     assert s.singular_summary(result)["errors"] == 7
 
@@ -114,13 +115,14 @@ def test_batched_grid_equals_per_point(name, solver):
     if isinstance(singles[0], str):   # no closed form: every point records the error
         with pytest.raises(s.NotExactlySolvable):
             s.matrix_at(p, grid, solver)
-        assert [pt.error for pt in result.points] == singles
+        assert result.errors == singles
         return
     batch = s.matrix_at(p, grid, solver)
-    assert batch.shape == (len(grid), 2, 2)
-    for one, many, pt in zip(singles, batch, result.points):
+    assert batch.shape == result.matrices.shape == (len(grid), 2, 2)
+    assert result.errors == [None] * len(grid)
+    for one, many, scanned in zip(singles, batch, result.matrices):
         assert rel_diff(many, one) <= 1e-13
-        assert rel_diff(pt.matrix.m, one) <= 1e-13
+        assert rel_diff(scanned, one) <= 1e-13
 
 
 def test_failed_wavenumber_records_its_own_error(monkeypatch):
@@ -132,24 +134,34 @@ def test_failed_wavenumber_records_its_own_error(monkeypatch):
     for refine in (False, True):
         result = s.scan(p, grid[0], grid[-1], len(grid), solver="dynamical", refine=refine)
         errors = 0
-        for k, pt in zip(grid, result.points):
+        for k, m, flags, error in zip(grid, result.matrices, result.flags, result.errors):
             try:
                 one = s.matrix_at(p, float(k), "dynamical")
             except s.ToleranceNotReached as exc:
-                assert pt.matrix is None and pt.error == f"ToleranceNotReached: {exc}"
+                assert np.isnan(m).all() and not flags.any()
+                assert error == f"ToleranceNotReached: {exc}"
                 errors += 1
             else:
-                assert pt.error is None and rel_diff(pt.matrix.m, one.m) <= 1e-13
+                assert error is None and rel_diff(m, one.m) <= 1e-13
         assert 0 < errors < len(grid)
 
 
 @pytest.mark.parametrize("k", [math.nan, math.inf, np.array([1.0, math.nan])])
-def test_non_finite_k_is_refused(k):
+def test_non_finite_k_is_refused(k, monkeypatch):
     grating = s.ExpGrating(0.3, 1, 2.0)
     with pytest.raises(ValueError, match="finite"):
         s.matrix_at(grating, k)
     with pytest.raises(ValueError, match="finite"):
         s.transfer_matrix_dynamical(grating, k)
+    if np.ndim(k):
+        return
+    # a scan bound is refused before any solve, as is a default grid over it
+    monkeypatch.setattr(SCAN, "matrix_at", None)
+    for bounds in ((1.0, k), (k, 2.0)):
+        with pytest.raises(ValueError, match="k must be positive and finite"):
+            s.scan(grating, *bounds, 5)
+        with pytest.raises(ValueError, match="k must be positive and finite"):
+            s.default_scan_points(grating, *bounds)
 
 
 BARRIER = s.PiecewiseConstant.barrier(0.8 + 0.3j, 0.0, 1.2)

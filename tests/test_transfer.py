@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scatter1d as s
-from scatter1d.transfer import IDENTITY, KMAT, SIGMA3, chain_product, propagation_matrix
+from scatter1d.transfer import (
+    FLAG_NAMES, IDENTITY, KMAT, SIGMA3, chain_product, flag_stack, propagation_matrix,
+)
 from conftest import assert_close, rel_diff
 
 
@@ -228,6 +230,25 @@ class TestClassify:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             s.TransferMatrix(IDENTITY, -1.0)
+
+    def test_flag_stack_on_known_matrices(self):
+        # deltas at k = g/2: a gain one lases (M22 = 0), a lossy one absorbs (M11 = 0)
+        g, b, c = 3.0, 0.7j, -0.4 + 0.1j
+        cases = {
+            ("spectral_singularity",): s.delta_matrix(1j * g, 0.4, g / 2).m,
+            ("time_reversed_ss",): s.delta_matrix(-1j * g, 0.3, g / 2).m,
+            ("spectral_singularity", "time_reversed_ss", "self_dual"): [[0, 1], [-1, 0]],
+            ("right_reflectionless", "right_invisible"): [[1, 0], [c, 1]],
+            ("left_reflectionless", "left_invisible"): [[1, b], [0, 1]],
+            (): np.full((2, 2), np.nan),
+        }
+        stack = np.array(list(cases.values()), dtype=complex)
+        flags = flag_stack(stack)
+        assert flags.shape == (len(cases), len(FLAG_NAMES)) and flags.dtype == bool
+        for row, (want, m) in zip(flags, cases.items()):
+            assert tuple(name for name, on in zip(FLAG_NAMES, row) if on) == want
+            assert s.TransferMatrix(m, 1.0).classify().flags() == want
+        assert (flag_stack(stack.reshape(2, 3, 2, 2)) == flags.reshape(2, 3, -1)).all()
 
 
 @settings(max_examples=50, deadline=None)
