@@ -41,11 +41,14 @@ driver, ``_integrate_pieces``: DOP853 from each cut to the next, with a hook
 at every cut for delta jumps and per-piece bookkeeping.  The stepper takes
 scipy's DOP853 steps exactly, with scipy's tableau and step control, but the
 right-hand sides take v as an argument: v depends on x alone, so each step
-attempt evaluates it once, at all of its stage abscissae.
+attempt evaluates it once, at all of its stage abscissae.  They compute on
+Python scalars, since numpy's cost per call would dominate on 8 floats, and
+round bit for bit as numpy's scalars do (the S-curve quotient stays numpy's).
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -385,13 +388,14 @@ def _dop853_steps(rhs, p: Potential, lo: float, hi: float, y: np.ndarray, rtol, 
                 t_new = hi
             h = t_new - t
             h_abs = np.abs(h)
-            xs = [t + c * h for c in _C[1:]] + [t + h]
-            vs = p.evaluate(np.array(xs)).tolist()
+            xs = np.append(t + _C[1:] * h, t + h)
+            vs = p.evaluate(xs).tolist()
+            xs = xs.tolist()
             K[0] = f_t
             for s, (a, x, v) in enumerate(zip(_A[1:], xs, vs), start=1):
-                K[s] = f(x, y + np.dot(K[:s].T, a[:s]) * h, v)
+                K[s] = rhs(x, y + np.dot(K[:s].T, a[:s]) * h, v)
             y_new = y + h * np.dot(K[:-1].T, _B)
-            K[-1] = f_new = f(xs[-1], y_new, vs[-1])
+            K[-1] = f_new = rhs(xs[-1], y_new, vs[-1])
 
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             err5_2 = np.linalg.norm(np.dot(K.T, _E5) / scale) ** 2
@@ -444,12 +448,13 @@ class WaveSolution:
 
 def _schrodinger_rhs(k: float):
     def rhs(x, y, v):
-        psi = y[0] + 1j * y[1]
-        dpsi = y[2] + 1j * y[3]
+        y0, y1, y2, y3 = y[:4].tolist()
+        psi = y0 + 1j * y1
+        dpsi = y2 + 1j * y3
         dd = (v - k * k) * psi
         w = v * psi
-        qm = np.exp(-1j * k * x) * w
-        qp = np.exp(1j * k * x) * w
+        qm = cmath.exp(-1j * k * x) * w
+        qp = cmath.exp(1j * k * x) * w
         return [dpsi.real, dpsi.imag, dd.real, dd.imag, qm.real, qm.imag, qp.real, qp.imag]
 
     return rhs
@@ -595,10 +600,12 @@ class SCurveTrace:
 
 def _s_curve_rhs(k: float):
     def rhs(x, y, v):
-        s = y[0] + 1j * y[1]
-        sp = y[2] + 1j * y[3]
+        y0, y1, y2, y3 = y[:4].tolist()
+        s = y0 + 1j * y1
+        sp = y2 + 1j * y3
         spp = v * s - 2j * k * sp
-        dr = 2j * k * np.exp(-2j * k * x) * v / (sp * sp)
+        # numpy's complex quotient: it rounds unlike Python's
+        dr = 2j * k * cmath.exp(-2j * k * x) * v / np.complex128(sp * sp)
         return [sp.real, sp.imag, spp.real, spp.imag, dr.real, dr.imag]
 
     return rhs

@@ -2,8 +2,9 @@
 
 Zeros of M22 mark spectral singularities (lasing), zeros of M11 their
 time-reversal (coherent perfect absorption), zeros of the off-diagonal
-entries one-sided reflectionlessness.  Zeros are located by minimizing
-|entry|^2 over real k only; complex-k resonance tracking is out of scope.
+entries one-sided reflectionlessness.  Zeros are polished from the grid's
+local minima of |entry|/||M|| by Newton on real k, one batched three-point
+stencil per step; complex-k resonance tracking is out of scope.
 
 k is a batch axis of ``matrix_at``: ``scan`` solves its whole grid in one
 call, and a grid on which some k fails is solved again point by point, so
@@ -19,7 +20,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .engines import scattering_solution, transfer_matrix_dynamical
 from .exact import numeric_leaf_copies, structural_matrix
@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 REFINE_TRIGGER = 1e-2  # refine local minima with |entry| below this times ||M||
+STENCIL = 0.01   # refine_zero's difference step, as a share of the bracket
+MAX_STEPS = 12   # refine_zero's Newton steps at most
 
 
 class NoZeroFound(RuntimeError):
@@ -78,6 +80,7 @@ def matrix_at(
     """
     if solver not in ("exact", "dynamical", "auto"):
         raise ValueError(f"unknown solver {solver!r}")
+    _check_tol(tol, "tol")
     ks = np.atleast_1d(np.asarray(k, dtype=float)).ravel()
     if not np.all((ks > 0) & (ks < np.inf)):
         raise ValueError("k must be positive and finite")
@@ -108,6 +111,11 @@ def default_scan_points(p: Potential, k_min: float, k_max: float, density: int =
 def _check_finite(k_min: float, k_max: float) -> None:
     if not (math.isfinite(k_min) and math.isfinite(k_max)):
         raise ValueError("k must be positive and finite")
+
+
+def _check_tol(tol: float, name: str) -> None:
+    if not 0 < tol < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -168,6 +176,7 @@ def scan(
     with ``refine_zero`` and accepted singular points are attached.
     """
     _check_finite(k_min, k_max)
+    _check_tol(zero_tol, "zero_tol")
     if not (0 < k_min < k_max):
         raise ValueError("need 0 < k_min < k_max")
     if points < 2:
@@ -243,63 +252,46 @@ def refine_zero(
     solver_tol: float = 1e-10,
     verify: bool = True,
 ) -> SingularPoint:
-    """Polish a real zero of one entry by bounded minimization of |entry|^2.
+    """Polish a real zero of one entry by Newton from the bracket's midpoint.
 
-    Accepts the minimum as a zero iff the residual falls below tol times the
-    local matrix norm; otherwise raises NoZeroFound (near-miss resonance).
-    Accepted zeros are re-verified through an independent wave-equation solve.
+    Each step solves the stencil k - h, k, k + h (h a hundredth of the
+    bracket) in one batched ``matrix_at`` call for f, f' and f'' by central
+    differences, and steps by Re(f f' / (f'^2 - f f'')), Newton's step on
+    f/f', which converges at double zeros too (SMIS's M12 is quadratic at
+    k0) and, near a complex zero, to about its real part.  A step is clamped
+    to the bracket, and the polish stops once |f| stops falling.
+
+    Accepts the best point as a zero iff the residual falls below tol times
+    the local matrix norm; otherwise raises NoZeroFound (near-miss
+    resonance).  Accepted zeros are re-verified through an independent
+    wave-equation solve.
     """
     if entry not in ENTRY_NAMES:
         raise ValueError(f"entry must be one of {ENTRY_NAMES}")
+    _check_tol(tol, "tol")
+    _check_tol(solver_tol, "solver_tol")
     k_lo, k_hi = bracket
-    if not (0 < k_lo < k_hi):
-        raise ValueError("bracket must satisfy 0 < k_lo < k_hi")
-
-    solved: dict[float, TransferMatrix] = {}
-
-    def at(k: float) -> TransferMatrix:
-        # Newton revisits accepted steps and the final k_star: solve each k once
-        if k not in solved:
-            solved[k] = matrix_at(p, k, solver, solver_tol)
-        return solved[k]
-
-    def entry_at(k: float) -> complex:
-        return at(k).entry(entry)
-
-    def objective(k: float) -> float:
-        return abs(entry_at(k)) ** 2
-
-    res = minimize_scalar(
-        objective,
-        bounds=(k_lo, k_hi),
-        method="bounded",
-        options={"xatol": 1e-13 * max(1.0, k_hi), "maxiter": 200},
-    )
-    k_star = float(res.x)
+    if not (0 < k_lo < k_hi < math.inf):
+        raise ValueError("bracket must satisfy 0 < k_lo < k_hi < inf")
     row, col = ENTRY_INDEX[entry]
-    # the entries are analytic in k, so polish a genuine real zero with Newton
-    # (projected to the real axis); golden-section alone stalls near sqrt(eps)
-    for _ in range(8):
-        val = entry_at(k_star)
-        if abs(val) == 0.0:
+    h = min(STENCIL * (k_hi - k_lo), 0.5 * k_lo)
+    k, k_star, m = 0.5 * (k_lo + k_hi), None, None
+    for _ in range(MAX_STEPS):
+        stencil = matrix_at(p, np.array([k - h, k, k + h]), solver, solver_tol)
+        below, f, above = stencil[:, row, col].tolist()
+        if m is not None and not abs(f) < abs(m.entry(entry)):
+            break   # |f| stopped falling: keep the best point
+        k_star, m = k, TransferMatrix(stencil[1], k)
+        df, ddf = (above - below) / (2 * h), (above - 2 * f + below) / (h * h)
+        denom = df * df - f * ddf
+        if f == 0 or denom == 0:
             break
-        h = 1e-7 * max(1.0, k_star)
-        below, above = matrix_at(p, np.array([k_star - h, k_star + h]), solver, solver_tol)
-        dval = (complex(above[row, col]) - complex(below[row, col])) / (2 * h)
-        if dval == 0:
+        k = min(max(k - (f * df / denom).real, k_lo), k_hi)
+        if not math.isfinite(k) or k == k_star:
             break
-        step = float(np.real(val / dval))
-        k_new = min(max(k_star - step, k_lo), k_hi)
-        if not math.isfinite(k_new) or abs(k_new - k_star) < 1e-16 * max(1.0, k_star):
-            k_star = k_new
-            break
-        if abs(entry_at(k_new)) >= abs(val):
-            break
-        k_star = k_new
-    m = at(k_star)
     residual = abs(m.entry(entry))
     threshold = tol * m.norm()
-    if residual >= threshold:
+    if not residual < threshold:
         raise NoZeroFound(entry, k_star, residual, threshold)
     cls = classify(m, tol)
     verified = None

@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp
 import scatter1d as s
 from scatter1d import engines
 from scatter1d.exact import barrier_slice_matrices, numeric_leaf_copies
-from scatter1d.potentials import _cuts
+from scatter1d.potentials import _cuts, _edges
 from scatter1d.transfer import IDENTITY, chain_product
 from conftest import assert_close, corpus, rel_diff, smooth_corpus
 
@@ -377,7 +377,55 @@ def solve_ivp_pieces(rhs, p, cuts, y0, tol):
     return np.concatenate(xs), np.concatenate(ys, axis=1)
 
 
+def numpy_schrodinger_rhs(k):
+    """The wave equation's right-hand side on numpy scalars, as it was
+    written before it moved to Python floats and complexes."""
+    def rhs(x, y, v):
+        psi = y[0] + 1j * y[1]
+        dpsi = y[2] + 1j * y[3]
+        dd = (v - k * k) * psi
+        w = v * psi
+        qm = np.exp(-1j * k * x) * w
+        qp = np.exp(1j * k * x) * w
+        return [dpsi.real, dpsi.imag, dd.real, dd.imag, qm.real, qm.imag, qp.real, qp.imag]
+
+    return rhs
+
+
+def numpy_s_curve_rhs(k):
+    """The S-curve equation's right-hand side on numpy scalars (see above)."""
+    def rhs(x, y, v):
+        s_ = y[0] + 1j * y[1]
+        sp = y[2] + 1j * y[3]
+        spp = v * s_ - 2j * k * sp
+        dr = 2j * k * np.exp(-2j * k * x) * v / (sp * sp)
+        return [sp.real, sp.imag, spp.real, spp.imag, dr.real, dr.imag]
+
+    return rhs
+
+
+ALL_POTENTIALS = {**corpus(), **{f"smooth_{name}": p for name, p in smooth_corpus().items()}}
+
+
 class TestOdeDriver:
+    @pytest.mark.parametrize("name", sorted(ALL_POTENTIALS))
+    def test_scalar_rhs_match_numpy_forms(self, name):
+        # the Python-scalar right-hand sides give the numpy forms' steps bit for
+        # bit; a sampled potential is cut at every node, and its first 256 cells
+        # stand for the rest (sampled_bump has 512, sampled_w1 4096)
+        p = ALL_POTENTIALS[name]
+        cuts = _cuts(_edges(p), p.interpolation_nodes()).tolist()[:257]
+        for k in (0.7, 1.15, 2.3):
+            for ours, numpy_form, y0 in [
+                (engines._schrodinger_rhs, numpy_schrodinger_rhs, [1.0, 0.0, 0.0, k, 0, 0, 0, 0]),
+                (engines._s_curve_rhs, numpy_s_curve_rhs, [1.0, 0.0, 0.0, -2 * k, 0.0, 0.0]),
+            ]:
+                x, y = engines._integrate_pieces(ours(k), p, cuts, y0, 1e-9, lambda x, y: y)
+                x_ref, y_ref = engines._integrate_pieces(
+                    numpy_form(k), p, cuts, y0, 1e-9, lambda x, y: y)
+                assert np.array_equal(x, x_ref), (k, ours.__name__)
+                assert np.array_equal(y, y_ref), (k, ours.__name__)
+
     @pytest.mark.parametrize("name", ["grating", "smis", "sampled_bump"])
     @pytest.mark.parametrize("equation", ["schrodinger", "s_curve"])
     def test_steps_as_solve_ivp(self, name, equation):

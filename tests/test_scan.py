@@ -186,3 +186,70 @@ SCALAR_K_ENTRY_POINTS = {
 def test_non_finite_scalar_k_is_refused(entry, k):
     with pytest.raises(ValueError, match="k must be positive and finite"):
         SCALAR_K_ENTRY_POINTS[entry](k)
+
+
+# the gain barrier's M22 has a complex zero near k = 1.5275900 + 1.4e-4 i, so
+# its modulus on the real axis has a minimum of 1.52e-4 there: a near miss
+NEAR_MISS = s.PiecewiseConstant.barrier(-20 + 3.15j, 0.0, 2.0)
+SMIS = s.SmisProfile(1.0, 0.02, 2, 0.3)   # M12 has a double zero at k0 = 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1e-8, math.inf])
+def test_refine_zero_refuses_unusable_tolerances(bad, monkeypatch):
+    monkeypatch.setattr(SCAN, "matrix_at", None)   # any solve would fail
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        s.refine_zero(NEAR_MISS, "M22", (1.4, 1.6), bad)
+    with pytest.raises(ValueError, match="solver_tol must be positive and finite"):
+        s.refine_zero(NEAR_MISS, "M22", (1.4, 1.6), solver_tol=bad)
+
+
+def test_refine_zero_refuses_infinite_bracket(monkeypatch):
+    # this used to reach scipy's "Optimization bounds must be finite scalars"
+    monkeypatch.setattr(SCAN, "matrix_at", None)
+    with pytest.raises(ValueError, match="bracket must satisfy"):
+        s.refine_zero(NEAR_MISS, "M22", (0.9, math.inf))
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1e-8, math.inf])
+def test_scan_refuses_unusable_zero_tol(bad, monkeypatch):
+    # with zero_tol = nan the near miss used to be listed as a singular point
+    monkeypatch.setattr(SCAN, "matrix_at", None)
+    with pytest.raises(ValueError, match="zero_tol must be positive and finite"):
+        s.scan(NEAR_MISS, 1.4, 1.6, 41, zero_tol=bad)
+
+
+@pytest.mark.parametrize("solver", ["exact", "dynamical", "auto"])
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1e-8, math.inf])
+def test_matrix_at_refuses_unusable_tol(bad, solver, monkeypatch):
+    # a nan or zero tol used to slice SMIS up to the cap before it raised
+    monkeypatch.setattr(SCAN, "transfer_matrix_dynamical", None)
+    monkeypatch.setattr(SCAN, "structural_matrix", None)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        s.matrix_at(SMIS, 1.0, solver, bad)
+
+
+def test_double_zero_is_refined_and_verified():
+    sp = s.refine_zero(SMIS, "M12", (0.998, 1.002))
+    assert sp.k_star == pytest.approx(1.0, abs=1e-6)
+    assert sp.residual < SCAN.DEFAULT_ZERO_TOL * sp.matrix.norm()
+    assert sp.verified_residual is not None and sp.verified_residual < 1e-8
+
+
+def test_near_miss_is_not_a_zero():
+    with pytest.raises(s.NoZeroFound) as info:
+        s.refine_zero(NEAR_MISS, "M22", (1.4, 1.6))
+    assert info.value.k == pytest.approx(1.5275900, abs=1e-6)
+    assert info.value.residual == pytest.approx(1.52e-4, rel=1e-2)
+
+
+def test_refinement_solves_one_stencil_per_step(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(np.size(args[1]))
+        return s.matrix_at(*args, **kwargs)
+
+    monkeypatch.setattr(SCAN, "matrix_at", counted)
+    sp = s.refine_zero(SMIS, "M12", (0.998, 1.002))
+    assert sp.k_star == pytest.approx(1.0, abs=1e-6)
+    assert 0 < len(calls) <= 8 and set(calls) == {3}
