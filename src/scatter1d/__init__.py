@@ -64,6 +64,7 @@ from .engines import (
     s_curve_solve,
     scattering_solution,
     transfer_matrix_dynamical,
+    transfer_matrix_wave,
 )
 from .approx import (
     ApproxReport,

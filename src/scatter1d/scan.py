@@ -4,7 +4,10 @@ Zeros of M22 mark spectral singularities (lasing), zeros of M11 their
 time-reversal (coherent perfect absorption), zeros of the off-diagonal
 entries one-sided reflectionlessness.  Zeros are polished from the grid's
 local minima of |entry|/||M|| by Newton on real k, one batched three-point
-stencil per step; complex-k resonance tracking is out of scope.
+stencil per step; complex-k resonance tracking is out of scope.  Every
+accepted zero is checked against the wave-equation engine, which reads all of
+M without slicing or composition: a scan checks all its zeros in one batched
+``transfer_matrix_wave`` pass.
 
 k is a batch axis of ``matrix_at``: ``scan`` solves its whole grid in one
 call, and a grid on which some k fails is solved again point by point, so
@@ -21,9 +24,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .engines import scattering_solution, transfer_matrix_dynamical
+from .engines import transfer_matrix_dynamical, transfer_matrix_wave
 from .exact import numeric_leaf_copies, structural_matrix
-from .potentials import Potential, TimeReversed
+from .potentials import Potential
 from .transfer import (
     DEFAULT_ZERO_TOL,
     ENTRY_INDEX,
@@ -32,6 +35,7 @@ from .transfer import (
     Classification,
     TransferMatrix,
     _amplitude_dictionary,
+    _check_tol,
     classify,
     flag_stack,
 )
@@ -113,11 +117,6 @@ def _check_finite(k_min: float, k_max: float) -> None:
         raise ValueError("k must be positive and finite")
 
 
-def _check_tol(tol: float, name: str) -> None:
-    if not 0 < tol < math.inf:
-        raise ValueError(f"{name} must be positive and finite")
-
-
 @dataclass(frozen=True)
 class SingularPoint:
     entry: str
@@ -173,7 +172,10 @@ def scan(
 
     Solver failures are recorded per point and the sweep continues.  When
     ``refine`` is set, promising local minima of each |entry| are polished
-    with ``refine_zero`` and accepted singular points are attached.
+    with ``refine_zero`` and the accepted singular points are attached, each
+    checked by ``transfer_matrix_wave`` at tol: all of them in one batched
+    pass, or one at a time if that pass fails, so that a zero whose own check
+    fails is dropped and the others keep theirs.
     """
     _check_finite(k_min, k_max)
     _check_tol(zero_tol, "zero_tol")
@@ -201,8 +203,9 @@ def scan(
 def _refine_from_grid(
     p: Potential, grid: np.ndarray, mats: np.ndarray, solver: str, tol: float, zero_tol: float
 ) -> list[SingularPoint]:
-    """Refine the local minima of |entry|/||M|| on the grid; a failed point
-    (NaN matrix) is never a minimum, and a minimum whose refinement fails is
+    """Refine the local minima of |entry|/||M|| on the grid, then check the
+    zeros found in one batched wave-equation pass; a failed point (NaN matrix)
+    is never a minimum, and a minimum whose refinement or check fails is
     skipped like one that holds no zero."""
     found: list[SingularPoint] = []
     norms = np.maximum(np.linalg.norm(mats, axis=(-2, -1)), 1e-300)
@@ -216,16 +219,35 @@ def _refine_from_grid(
             if vals[i] > REFINE_TRIGGER:
                 continue
             try:
-                sp = refine_zero(
-                    p, entry, (float(grid[i - 1]), float(grid[i + 1])), zero_tol, solver, tol
-                )
+                sp = refine_zero(p, entry, (float(grid[i - 1]), float(grid[i + 1])), zero_tol,
+                                 solver, tol, verify=False)
             except RuntimeError:   # NoZeroFound, or a solver failure inside the bracket
                 continue
             if all(abs(sp.k_star - other.k_star) > 1e-12 * sp.k_star or other.entry != entry
                    for other in found):
                 found.append(sp)
     dk = float(grid[1] - grid[0]) if len(grid) > 1 else 0.0
-    return _pair_self_dual(found, dk)
+    return _pair_self_dual(_verified(p, found, tol), dk)
+
+
+def _verified(p: Potential, points: list[SingularPoint], tol: float) -> list[SingularPoint]:
+    """The points with their entries' moduli from ``transfer_matrix_wave`` at
+    tol, all in one pass; if it fails, each point is checked alone and those
+    whose own check fails are dropped."""
+    if not points:
+        return []
+    ks = np.array([sp.k_star for sp in points])
+    try:
+        mats = transfer_matrix_wave(p, ks, tol)
+    except Exception:   # some k failed: each point is checked alone
+        mats = [None] * len(points)
+        for i in range(len(points)):
+            try:
+                mats[i] = transfer_matrix_wave(p, ks[i:i + 1], tol)[0]
+            except RuntimeError:   # a solver failure at this zero: skipped
+                pass
+    return [replace(sp, verified_residual=float(abs(m[ENTRY_INDEX[sp.entry]])))
+            for sp, m in zip(points, mats) if m is not None]
 
 
 def _pair_self_dual(points: list[SingularPoint], dk: float) -> list[SingularPoint]:
@@ -263,8 +285,10 @@ def refine_zero(
 
     Accepts the best point as a zero iff the residual falls below tol times
     the local matrix norm; otherwise raises NoZeroFound (near-miss
-    resonance).  Accepted zeros are re-verified through an independent
-    wave-equation solve.
+    resonance).  With ``verify``, an accepted zero is checked independently:
+    ``verified_residual`` is |entry| from ``transfer_matrix_wave`` at
+    solver_tol.  ``scan`` refines without it and checks all its zeros in one
+    batched pass.
     """
     if entry not in ENTRY_NAMES:
         raise ValueError(f"entry must be one of {ENTRY_NAMES}")
@@ -296,7 +320,7 @@ def refine_zero(
     cls = classify(m, tol)
     verified = None
     if verify:
-        verified = abs(_entry_independent(p, k_star, entry, solver_tol))
+        verified = abs(transfer_matrix_wave(p, k_star, solver_tol).entry(entry))
     return SingularPoint(
         entry=entry,
         k_star=k_star,
@@ -307,23 +331,6 @@ def refine_zero(
         bracket=(k_lo, k_hi),
         verified_residual=verified,
     )
-
-
-def _entry_independent(p: Potential, k: float, entry: str, tol: float) -> complex:
-    """Entry value from outgoing-wave ODE solves (no transfer-matrix composition).
-
-    The unnormalized one-sided solves expose entries directly:
-    left solve (unit transmitted): A_- = M22, B_- = -M21;
-    right solve: B_+ = M22, A_+ = M12; M11 is conj(M22) of the conjugated
-    potential.
-    """
-    if entry == "M22":
-        return scattering_solution(p, k, "left", tol).a_minus
-    if entry == "M21":
-        return -scattering_solution(p, k, "left", tol).b_minus
-    if entry == "M12":
-        return scattering_solution(p, k, "right", tol).a_plus
-    return np.conj(scattering_solution(TimeReversed(p), k, "left", tol).a_minus)
 
 
 # ---------------------------------------------------------------------------

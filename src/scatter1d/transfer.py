@@ -63,6 +63,13 @@ ENTRY_NAMES = ("M11", "M12", "M21", "M22")
 ENTRY_INDEX = {"M11": (0, 0), "M12": (0, 1), "M21": (1, 0), "M22": (1, 1)}
 
 
+def _check_tol(tol: float, name: str = "tol") -> None:
+    """Refuse a tolerance no solve can meet (non-positive) or check (NaN, inf),
+    before any solve starts."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"{name} must be positive and finite")
+
+
 def propagation_matrix(k: float, x: float) -> np.ndarray:
     """Free propagation phase matrix T(x) = diag(e^{ikx}, e^{-ikx})."""
     return np.array([[np.exp(1j * k * x), 0.0], [0.0, np.exp(-1j * k * x)]], dtype=complex)
@@ -169,9 +176,6 @@ class ScatteringData:
         object.__setattr__(self, "r_right", complex(r_right))
         object.__setattr__(self, "t", complex(t))
         object.__setattr__(self, "k", float(k))
-
-    def to_matrix(self) -> TransferMatrix:
-        return matrix_from_amplitudes(self)
 
     def translated(self, a: float) -> "ScatteringData":
         """Amplitudes of the potential translated right by a."""

@@ -1,6 +1,7 @@
 """Numerical engines: dynamical slicing, wave-equation solves, S-curve method."""
 
 import functools
+import math
 import timeit
 
 import numpy as np
@@ -427,16 +428,20 @@ class TestOdeDriver:
                 assert np.array_equal(y, y_ref), (k, ours.__name__)
 
     @pytest.mark.parametrize("name", ["grating", "smis", "sampled_bump"])
-    @pytest.mark.parametrize("equation", ["schrodinger", "s_curve"])
+    @pytest.mark.parametrize("equation", ["schrodinger", "s_curve", "fundamental"])
     def test_steps_as_solve_ivp(self, name, equation):
+        # "fundamental" is transfer_matrix_wave's batch of one k: both columns
+        # of the wave equation, held to tol by the one part's own norm
         p, k, tol = corpus()[name], K_TEST, 1e-9
         a, b = p.support()
         inner = [x for x in p.internal_boundaries() if a < x < b]
         cuts = _cuts([a, *inner, b], p.interpolation_nodes()).tolist()
         if equation == "schrodinger":
             rhs, y0 = engines._schrodinger_rhs(k), [1.0, 0.0, 0.0, k, 0.0, 0.0, 0.0, 0.0]
-        else:
+        elif equation == "s_curve":
             rhs, y0 = engines._s_curve_rhs(k), [1.0, 0.0, 0.0, -2 * k, 0.0, 0.0]
+        else:
+            rhs, y0 = engines._fundamental_rhs(np.array([k])), [1.0, 0.0, 0.0, k, 1.0, 0.0, 0.0, -k]
         x, y = engines._integrate_pieces(rhs, p, cuts, y0, tol, lambda x, y: y)
         x_ref, y_ref = solve_ivp_pieces(rhs, p, cuts, y0, tol)
         assert np.array_equal(x, x_ref)
@@ -449,6 +454,68 @@ class TestOdeDriver:
                 lambda x, y, v: y * y, s.zero_potential(), [0.0, 2.0], [1.0], 1e-8,
                 lambda x, y: y,
             )
+
+
+WAVE_CASES = {
+    "barrier_real": corpus()["barrier_real"],
+    "barrier_complex": corpus()["barrier_complex"],
+    "gain_comb": s.DeltaComb([(1.5j, -0.3), (0.8j, 0.6)]),
+    "lossy_comb": s.DeltaComb([(-1.2j, -0.2), (-0.5j, 0.7)]),
+    "single_delta": corpus()["delta_single"],   # a support of zero length
+    "smis": corpus()["smis"],
+}
+
+
+class TestWaveMatrix:
+    """transfer_matrix_wave: all of M from one backward pass, k a batch axis."""
+
+    @pytest.mark.parametrize("name", sorted(WAVE_CASES))
+    def test_batch_keeps_tol(self, name):
+        # each step is held to tol, not the pass (see the docstring's
+        # measured errors); the closed forms, or the dynamical engine at
+        # 1e-12 for SMIS, are the references
+        p, ks = WAVE_CASES[name], np.array([0.7, 1.15, 2.3])
+        m = s.transfer_matrix_wave(p, ks, TOL)
+        assert m.shape == (3, 2, 2)
+        for k, mk in zip(ks, m):
+            assert_within_tol(mk, exact_or_dynamical(p, k, 1e-12).m, TOL, (name, k))
+
+    def test_pass_error_adds_up_over_pieces(self):
+        # a known gap, pinned on purpose: tol holds each step, not the pass,
+        # and on a layered potential the pass's error adds up to 9.9 tol;
+        # once the engine keeps tol over the pass, this becomes a tol check
+        p, k, tol = smooth_corpus()["bilayer_w2"], 0.7, 1e-8
+        ref = s.exact_matrix(p, k).m
+        err = np.abs(s.transfer_matrix_wave(p, k, tol).m - ref).max() / max(1, np.linalg.norm(ref))
+        assert tol < err < 20 * tol
+
+    def test_scalar_k_is_a_batch_of_one(self):
+        p = WAVE_CASES["smis"]
+        one = s.transfer_matrix_wave(p, K_TEST, TOL)
+        assert isinstance(one, s.TransferMatrix) and one.k == K_TEST
+        assert np.array_equal(one.m, s.transfer_matrix_wave(p, np.array([K_TEST]), TOL)[0])
+
+
+UNUSABLE_TOLS = [math.nan, 0.0, -1e-8, math.inf]
+SMIS = corpus()["smis"]
+ENGINE_CALLS = {   # every engine entry, on a potential each of them takes
+    "transfer_matrix_dynamical": lambda tol: s.transfer_matrix_dynamical(SMIS, 1.0, tol),
+    "transfer_matrix_wave": lambda tol: s.transfer_matrix_wave(SMIS, np.array([1.0, 1.2]), tol),
+    "scattering_solution": lambda tol: s.scattering_solution(SMIS, 1.0, "left", tol),
+    "ls_amplitudes": lambda tol: s.ls_amplitudes(SMIS, 1.0, tol),
+    "s_curve_solve": lambda tol: s.s_curve_solve(SMIS, 1.0, tol),
+}
+
+
+@pytest.mark.parametrize("bad", UNUSABLE_TOLS)
+@pytest.mark.parametrize("engine", sorted(ENGINE_CALLS))
+def test_unusable_tol_is_refused_before_any_solve(engine, bad, monkeypatch):
+    # a nan tol kept the ODE driver's error norm at nan, and a zero one left
+    # it scipy's rtol floor with no atol: each ran past a 10 s timeout
+    for name in ("_integrate_pieces", "_dop853_steps", "_refine_leaf"):
+        monkeypatch.setattr(engines, name, None)   # any solve would fail
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        ENGINE_CALLS[engine](bad)
 
 
 class TestScatteringSolution:

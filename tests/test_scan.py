@@ -153,6 +153,8 @@ def test_non_finite_k_is_refused(k, monkeypatch):
         s.matrix_at(grating, k)
     with pytest.raises(ValueError, match="finite"):
         s.transfer_matrix_dynamical(grating, k)
+    with pytest.raises(ValueError, match="finite"):
+        s.transfer_matrix_wave(grating, k)
     if np.ndim(k):
         return
     # a scan bound is refused before any solve, as is a default grid over it
@@ -253,3 +255,40 @@ def test_refinement_solves_one_stencil_per_step(monkeypatch):
     sp = s.refine_zero(SMIS, "M12", (0.998, 1.002))
     assert sp.k_star == pytest.approx(1.0, abs=1e-6)
     assert 0 < len(calls) <= 8 and set(calls) == {3}
+
+
+def test_scan_checks_its_zeros_in_one_wave_pass(monkeypatch):
+    # four zeros (M12 and M21 at two resonances), one backward DOP853 pass;
+    # each zero used to take a wave-equation solve of its own
+    engines = sys.modules["scatter1d.engines"]
+    integrate, passes = engines._integrate_pieces, []
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(engines, "_integrate_pieces", counted)
+    p = s.PiecewiseConstant.barrier(1.5, 0.0, 1.0)
+    result = s.scan(p, 3.0, 7.0, s.default_scan_points(p, 3.0, 7.0))
+    assert len(result.singular_points) == 4 and len(passes) == 1
+    for sp in result.singular_points:
+        assert sp.verified_residual < 1e-9 * max(1.0, sp.matrix.norm())
+
+
+def test_zero_whose_check_fails_is_dropped_alone(monkeypatch):
+    # the batched check fails, so each zero is checked alone: the two whose
+    # own checks fail are skipped and the other two keep theirs
+    p = s.PiecewiseConstant.barrier(1.5, 0.0, 1.0)
+    k_bad = math.sqrt(1.5 + math.pi ** 2)   # the first resonance: M12 and M21
+
+    def failing(q, k, tol):
+        if np.any(np.abs(np.asarray(k) - k_bad) < 1e-6):
+            raise RuntimeError("integration failed")
+        return s.transfer_matrix_wave(q, k, tol)
+
+    monkeypatch.setattr(SCAN, "transfer_matrix_wave", failing)
+    result = s.scan(p, 3.0, 7.0, s.default_scan_points(p, 3.0, 7.0))
+    assert sorted(sp.entry for sp in result.singular_points) == ["M12", "M21"]
+    for sp in result.singular_points:
+        assert sp.k_star == pytest.approx(math.sqrt(1.5 + 4 * math.pi ** 2), abs=1e-8)
+        assert sp.verified_residual is not None
