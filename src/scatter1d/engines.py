@@ -25,7 +25,8 @@ Three independent routes to the same scattering data:
   quadratures accumulated along the solve.  ``transfer_matrix_wave`` reads
   all of M from one backward solve of the same equation for both outgoing
   columns, at an array of k in one pass: the scan's independent check of
-  its zeros.
+  its zeros.  It holds its steps to tol/20, so that M, not each step, is
+  within tol.
 * ``s_curve_solve`` integrates the second-order equation for S(z) on the
   unit-circle arc z = e^{-2ikx}, parameterized by x so that multi-winding
   curves stay single-valued, with the left-reflection contour integral
@@ -50,7 +51,8 @@ would dominate on 8 floats, and round bit for bit as numpy's scalars do (the
 S-curve quotient stays numpy's).  k is a batch axis of the driver: the state
 is one equal part per k, v is shared by all of them, and the error norm and
 the initial step take the worst of the parts' own norms, so every k keeps
-its own tol; one part takes scipy's steps exactly.
+its own tol and a part gone nan fails the batch; one part takes scipy's
+steps exactly.  Only a batch of several k has a numpy right-hand side.
 
 Every engine refuses a tol that is not positive and finite before it solves
 anything.
@@ -360,10 +362,9 @@ ERROR_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
 
 
 def _norms(a: np.ndarray, groups: int) -> np.ndarray:
-    """The 2-norm of each of the ``groups`` equal parts of a flat state;
-    vecdot rounds as np.linalg.norm does on one part."""
-    parts = a.reshape(groups, -1)
-    return np.sqrt(np.vecdot(parts, parts))
+    """The 2-norm of each of the ``groups`` equal parts of a flat state,
+    each rounded as np.linalg.norm rounds it."""
+    return np.sqrt([part.dot(part) for part in a.reshape(groups, -1)])
 
 
 def _rms(a: np.ndarray, groups: int) -> np.ndarray:
@@ -388,6 +389,8 @@ def _dop853_steps(rhs, p: Potential, lo: float, hi: float, y: np.ndarray, rtol, 
     ``groups`` equal parts (one per k) that share x and v; a step is accepted
     by the largest of the parts' own error norms and the initial step is the
     smallest of their own choices, so one part takes scipy's steps exactly.
+    np.max and np.min keep a nan of any part, so a part that goes non-finite
+    fails the batch as it would fail alone.
     """
     def f(x, y, v):
         return np.asarray(rhs(x, y, v), dtype=float)
@@ -398,11 +401,12 @@ def _dop853_steps(rhs, p: Potential, lo: float, hi: float, y: np.ndarray, rtol, 
     length = abs(hi - lo)
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale, groups), _rms(f_t / scale, groups)
-    h0 = min(min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b for a, b in zip(d0, d1)), length)
+    h0 = min(np.min([1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b for a, b in zip(d0, d1)]),
+             length)
     x1 = lo + h0 * direction
     d2 = _rms((f(x1, y + h0 * direction * f_t, p.evaluate(x1)) - f_t) / scale, groups) / h0
-    h1 = min(max(1e-6, h0 * 1e-3) if a <= 1e-15 and b <= 1e-15
-             else (0.01 / max(a, b)) ** -ERROR_EXPONENT for a, b in zip(d1, d2))
+    h1 = np.min([max(1e-6, h0 * 1e-3) if a <= 1e-15 and b <= 1e-15
+                 else (0.01 / max(a, b)) ** -ERROR_EXPONENT for a, b in zip(d1, d2)])
     h_abs = min(100 * h0, h1, length)
     size = y.size // groups
 
@@ -433,7 +437,8 @@ def _dop853_steps(rhs, p: Potential, lo: float, hi: float, y: np.ndarray, rtol, 
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             err5 = _norms(np.dot(K.T, _E5) / scale, groups)
             err3 = _norms(np.dot(K.T, _E3) / scale, groups)
-            error_norm = max(_error_norm(h_abs, a ** 2, b ** 2, size) for a, b in zip(err5, err3))
+            error_norm = np.max([_error_norm(h_abs, a ** 2, b ** 2, size)
+                                 for a, b in zip(err5, err3)])
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -601,6 +606,20 @@ def _fundamental_rhs(k: np.ndarray):
     return rhs
 
 
+def _fundamental_rhs_one(k: float):
+    """``_fundamental_rhs`` at one k on Python scalars, as the other
+    right-hand sides: numpy's cost per call would dominate on 8 floats."""
+    k2 = k * k
+
+    def rhs(x, y, v):
+        psi1, dpsi1, psi2, dpsi2 = y.view(complex).tolist()
+        dd1, dd2 = (v - k2) * psi1, (v - k2) * psi2
+        return [dpsi1.real, dpsi1.imag, dd1.real, dd1.imag,
+                dpsi2.real, dpsi2.imag, dd2.real, dd2.imag]
+
+    return rhs
+
+
 def transfer_matrix_wave(p: Potential, k, tol: float = 1e-10) -> TransferMatrix | np.ndarray:
     """All of M from one backward solve of psi'' = (v - k^2) psi.
 
@@ -614,12 +633,12 @@ def transfer_matrix_wave(p: Potential, k, tol: float = 1e-10) -> TransferMatrix 
     stack of matrices, shape k.shape + (2, 2), from one pass that evaluates v
     once per step attempt for all the k and holds each k to its own tol.
 
-    As for the other ODE engines, tol holds each DOP853 step (rtol = tol,
-    atol = tol/1000), not the whole pass, whose error adds up over the steps
-    of every piece between cuts.  Over ``corpus()`` and ``smooth_corpus()`` at
-    k from 0.7 to 4 the error of M reached 1.3 tol max(1, ||M||) on
-    one-piece potentials and 9.9 tol on layered ones (``bilayer_w2`` at
-    k = 0.7, one k alone).
+    tol bounds the error of M over the whole pass, tol max(1, ||M||), so each
+    DOP853 step is held to tol/20 (rtol, and atol = rtol/1000): the steps'
+    errors add up over the pass.  Over ``corpus()`` and ``smooth_corpus()``
+    at k from 0.7 to 4 and tol 1e-8 and 1e-10, one k alone or four in a
+    batch, the error of M grows as the step tol and reached 0.51 tol
+    (``bilayer_w2`` at k = 0.7); steps held to tol itself reached 9.9 tol.
     """
     ks = np.atleast_1d(np.asarray(k, dtype=float)).ravel()
     if not np.all((ks > 0) & (ks < np.inf)):
@@ -641,8 +660,8 @@ def transfer_matrix_wave(p: Potential, k, tol: float = 1e-10) -> TransferMatrix 
         return end.reshape(-1).view(float)
 
     cuts = _cuts(_edges(p), p.interpolation_nodes()).tolist()[::-1]
-    _integrate_pieces(_fundamental_rhs(ks), p, cuts, end.reshape(-1).view(float), tol, at_cut,
-                      ks.size)
+    rhs = _fundamental_rhs_one(float(ks[0])) if ks.size == 1 else _fundamental_rhs(ks)
+    _integrate_pieces(rhs, p, cuts, end.reshape(-1).view(float), tol / 20, at_cut, ks.size)
     psi, dpsi = end[..., 0], end[..., 1]   # at a, (k, column)
     a_minus = 0.5 * np.exp(-ik * a) * (psi + dpsi / ik)
     b_minus = 0.5 * np.exp(ik * a) * (psi - dpsi / ik)
