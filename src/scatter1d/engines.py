@@ -359,6 +359,8 @@ def _integrate_pieces(
 _A, _B, _C, _E3, _E5 = DOP853.A, DOP853.B, DOP853.C, DOP853.E3, DOP853.E5
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
 ERROR_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
+_C_STEP = np.append(_C[1:], 1.0)   # a step's stage abscissae over h, then its end
+_A_ROWS = [a[:s] for s, a in enumerate(_A[1:], start=1)]   # the tableau row each stage uses
 
 
 def _norms(a: np.ndarray, groups: int) -> np.ndarray:
@@ -425,12 +427,12 @@ def _dop853_steps(rhs, p: Potential, lo: float, hi: float, y: np.ndarray, rtol, 
                 t_new = hi
             h = t_new - t
             h_abs = np.abs(h)
-            xs = np.append(t + _C[1:] * h, t + h)
+            xs = t + _C_STEP * h
             vs = p.evaluate(xs).tolist()
             xs = xs.tolist()
             K[0] = f_t
-            for s, (a, x, v) in enumerate(zip(_A[1:], xs, vs), start=1):
-                K[s] = rhs(x, y + np.dot(K[:s].T, a[:s]) * h, v)
+            for s, (a, x, v) in enumerate(zip(_A_ROWS, xs, vs), start=1):
+                K[s] = rhs(x, y + np.dot(K[:s].T, a) * h, v)
             y_new = y + h * np.dot(K[:-1].T, _B)
             K[-1] = f_new = rhs(xs[-1], y_new, vs[-1])
 
