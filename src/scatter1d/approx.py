@@ -27,6 +27,7 @@ from .transfer import (
     ScatteringData,
     SpectralSingularityError,
     TransferMatrix,
+    _check_tol,
     amplitudes_from_matrix,
 )
 
@@ -75,6 +76,7 @@ def born_first(p: Potential, k: float, tol: float = 1e-10) -> ScatteringData:
     """
     if not 0 < k < np.inf:
         raise ValueError("k must be positive and finite")
+    _check_tol(tol)
     two_ik = 2j * k
     return ScatteringData(
         p.fourier(-2 * k, tol) / two_ik,
@@ -95,6 +97,7 @@ def dyson_order1(p: Potential, k: float, tol: float = 1e-10) -> ApproxReport:
     """First-order truncation M^(1); exact for a single delta term."""
     if not 0 < k < np.inf:
         raise ValueError("k must be positive and finite")
+    _check_tol(tol)
     v0 = p.fourier(0.0, tol)
     vp = p.fourier(2 * k, tol)
     vm = p.fourier(-2 * k, tol)
@@ -109,6 +112,7 @@ def dyson_order2(p: Potential, k: float, tol: float = 1e-10) -> ApproxReport:
     """Second-order truncation M^(2); exact for double-delta combs."""
     if not 0 < k < np.inf:
         raise ValueError("k must be positive and finite")
+    _check_tol(tol)
     v0 = p.fourier(0.0, tol)
     vp = p.fourier(2 * k, tol)
     vm = p.fourier(-2 * k, tol)

@@ -22,12 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._g17 import format_rows
 from .engines import transfer_matrix_dynamical
 from .exact import structural_matrix
 from .potentials import Potential, SmisProfile, Sum
 from .scan import matrix_at
 from .transfer import (
-    ScatteringData, TransferMatrix, chain_product, matrix_from_amplitudes, time_reverse_stack,
+    ScatteringData, TransferMatrix, _check_tol, chain_product, matrix_from_amplitudes,
+    time_reverse_stack,
 )
 
 __all__ = [
@@ -189,6 +191,7 @@ def build_right_invisible(
     The block is checked on the amplitudes of
     ``matrix_at(profile, k0, "auto", verify_tol / 50)``, the dynamical engine.
     """
+    _check_tol(verify_tol, "verify_tol")
     profile = _invisible_profile(k0, r_left_target, winding, m, conjugated=False)
     matrix = matrix_at(profile, k0, "auto", verify_tol / 50)
     return _checked_block(profile, r_left_target, matrix, verify_tol)
@@ -208,6 +211,7 @@ def build_left_invisible(
     The block is checked on the amplitudes of
     ``matrix_at(profile, k0, "auto", verify_tol / 50)``, the dynamical engine.
     """
+    _check_tol(verify_tol, "verify_tol")
     profile = _invisible_profile(k0, r_right_target, winding, m, conjugated=True)
     matrix = matrix_at(profile, k0, "auto", verify_tol / 50)
     return _checked_block(profile, r_right_target, matrix, verify_tol)
@@ -377,6 +381,7 @@ def solve_single_mode(
     which solves each block once with the dynamical engine; every block is
     checked on its own matrix from that solve.
     """
+    _check_tol(verify_tol, "verify_tol")
     k0 = spec.k0
     ell = math.pi / k0
     gap = ell / 4 if gap is None else float(gap)
@@ -435,7 +440,8 @@ def solve_single_mode(
 
 
 def write_profile_csv(potential: Potential, path, npoints: int = 2048) -> None:
-    """Sampled profile export (x, Re v, Im v) for plotting or fabrication."""
+    """Sampled profile export (x, Re v, Im v) for plotting or fabrication,
+    every number as ``'%.17g'`` from one ``_g17.format_rows`` call."""
     a, b = potential.support()
     if b <= a:
         x = np.array([a, a + 1.0])
@@ -444,6 +450,4 @@ def write_profile_csv(potential: Potential, path, npoints: int = 2048) -> None:
     v = np.atleast_1d(potential.evaluate(x))
     with open(path, "w") as fh:
         fh.write("x,re_v,im_v\n")
-        fh.writelines(
-            "%.17g,%.17g,%.17g\n" % row for row in zip(x.tolist(), v.real.tolist(), v.imag.tolist())
-        )
+        fh.write(format_rows(np.column_stack([x, v.real, v.imag]), ",,\n"))

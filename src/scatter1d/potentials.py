@@ -30,6 +30,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .transfer import _check_tol
+
 SCHEMA_VERSION = "v1"
 
 __all__ = [
@@ -311,6 +313,7 @@ class Potential:
 
     def fourier(self, kappa: float, tol: float = 1e-10) -> complex:
         """ṽ(kappa) = integral e^{-i kappa x} v(x) dx (delta terms included)."""
+        _check_tol(tol)
         smooth = self._fourier_smooth(kappa, tol)
         for z, a in self.delta_terms():
             smooth += z * np.exp(-1j * kappa * a)
@@ -318,6 +321,7 @@ class Potential:
 
     def double_fourier(self, k1: float, k2: float, tol: float = 1e-9) -> complex:
         """Ordered transform: integral over x1 < x2 of e^{-i(k1 x1 + k2 x2)} v(x1) v(x2)."""
+        _check_tol(tol)
         return self._double_fourier(k1, k2, tol)
 
     def _fourier_smooth(self, kappa: float, tol: float) -> complex:

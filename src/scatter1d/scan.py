@@ -19,11 +19,14 @@ are built only for the refined singular points.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
+from ._g17 import format_rows
 from .engines import transfer_matrix_dynamical, transfer_matrix_wave
 from .exact import numeric_leaf_copies, structural_matrix
 from .potentials import Potential
@@ -346,21 +349,37 @@ _CSV_HEADER = (
 
 
 def write_scan_csv(result: ScanResult, path) -> None:
-    """One row per grid point, floats at 17 significant digits: the matrix,
-    then the amplitudes unless refused, fields left blank where missing.  The
-    numbers of a row are formatted at once from Python floats; the flags and
-    error columns go through ``csv.writer``, which quotes them where needed."""
+    """One row per grid point: k, the matrix, then the amplitudes unless
+    refused, fields left blank where missing.  All numbers of the file are
+    formatted as ``'%.17g'`` in one ``_g17.format_rows`` call; the amplitudes
+    come from ``_amplitude_dictionary``, one matrix at a time.  The flags and
+    error columns go through ``csv.writer``, which quotes them where needed,
+    once per distinct pair."""
+    n = len(result.k)
+    entries = result.matrices.reshape(n, 4)
+    values = np.zeros((n, 15))
+    values[:, 0] = result.k
+    values[:, 1:9:2], values[:, 2:9:2] = entries.real, entries.imag
     norms = np.linalg.norm(result.matrices, axis=(-2, -1)).tolist()
-    rows = zip(result.k.tolist(), result.matrices.reshape(-1, 4).tolist(), norms,
-               result.flags.tolist(), result.errors)
+    amplitudes = [None if error else _amplitude_dictionary(*row[1:], norm)
+                  for row, norm, error in zip(entries.tolist(), norms, result.errors)]
+    refused = np.array([amps is None for amps in amplitudes])
+    kept = np.fromiter(chain.from_iterable(a for a in amplitudes if a is not None), complex)
+    values[~refused, 9:] = kept.reshape(-1, 3).view(float)
+    blank = np.zeros((n, 15), dtype=bool)
+    blank[:, 1:9] = np.array([bool(error) for error in result.errors])[:, None]
+    blank[:, 9:] = refused[:, None]
+    keys = list(zip(map(tuple, result.flags.tolist()), result.errors))
+    tails: dict[tuple, str] = {}
+    for flags, error in set(keys):
+        line = io.StringIO(newline="")
+        csv.writer(line).writerow(["|".join(name for name, f in zip(FLAG_NAMES, flags) if f),
+                                   error or ""])
+        tails[flags, error] = "," + line.getvalue()
+    rows = format_rows(values, "," * 14 + "\n", blank).split("\n")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for k, entries, norm, flags, error in rows:
-            zs = [] if error else entries + list(_amplitude_dictionary(*entries[1:], norm) or ())
-            parts = [x for z in zs for x in (z.real, z.imag)]
-            fh.write(("%.17g" + ",%.17g" * len(parts)) % (k, *parts) + "," * (15 - len(parts)))
-            writer.writerow(["|".join(n for n, f in zip(FLAG_NAMES, flags) if f), error or ""])
+        csv.writer(fh).writerow(_CSV_HEADER)
+        fh.write("".join(map(str.__add__, rows, [tails[key] for key in keys])))
 
 
 def singular_summary(result: ScanResult) -> dict:

@@ -6,10 +6,13 @@ amplitudes of ``exp_grating_reference`` at k = m pi/L; a Gaussian bump
 eps e^{-x^2/2 sigma^2} has v~(q) = eps sigma sqrt(2 pi) e^{-q^2 sigma^2/2}.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 import scatter1d as s
+from scatter1d import potentials
 
 EPS, SIGMA = 0.05, 0.3
 
@@ -60,3 +63,24 @@ def test_born_inverse_rejects_coarse_k_grid():
     k = np.linspace(-40.0, 40.0, 16)
     with pytest.raises(s.GridTooCoarseError):
         s.born_inverse(k, gaussian_right_reflection(k), "right", window=2.0, npoints=1024)
+
+
+UNUSABLE_TOLS = [math.nan, 0.0, -1e-8, math.inf]
+SMIS = s.SmisProfile(1.0, 0.02, 2, 0.3)
+TRANSFORM_CALLS = {   # every transform entry, on a potential with no closed-form transform
+    "fourier": lambda tol: SMIS.fourier(2.3, tol),
+    "double_fourier": lambda tol: SMIS.double_fourier(2.3, -2.3, tol),
+    "born_first": lambda tol: s.born_first(SMIS, 1.15, tol),
+    "dyson_order1": lambda tol: s.dyson_order1(SMIS, 1.15, tol),
+    "dyson_order2": lambda tol: s.dyson_order2(SMIS, 1.15, tol),
+}
+
+
+@pytest.mark.parametrize("bad", UNUSABLE_TOLS)
+@pytest.mark.parametrize("call", sorted(TRANSFORM_CALLS))
+def test_unusable_tol_is_refused_before_any_transform(call, bad, monkeypatch):
+    # a nan tol ran the numeric transforms to their 2^20-slice cap, about 2.4 s each
+    for name in ("_romberg_filon", "_gauss_filon"):
+        monkeypatch.setattr(potentials, name, None)   # any transform would fail
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        TRANSFORM_CALLS[call](bad)

@@ -132,3 +132,19 @@ def test_non_finite_target_is_refused(amplitude, bad):
     amps = {"r_left": 0.1, "r_right": 0.2, "t": 1.0, amplitude: bad}
     with pytest.raises(ValueError, match="target amplitudes must be finite"):
         d.DesignSpec(K0, **amps)
+
+
+VERIFY_TOL_CALLS = {
+    "build_right_invisible": lambda tol: d.build_right_invisible(K0, 0.3j, verify_tol=tol),
+    "build_left_invisible": lambda tol: d.build_left_invisible(K0, 0.3j, verify_tol=tol),
+    "solve_single_mode": lambda tol: d.solve_single_mode(SPECS["general"], verify_tol=tol),
+}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), 0.0, -1e-8, float("inf")])
+@pytest.mark.parametrize("call", sorted(VERIFY_TOL_CALLS))
+def test_unusable_verify_tol_is_refused_before_any_solve(call, bad, monkeypatch):
+    for name in ("factor_matrices", "alpha_for_reflection", "matrix_at", "transfer_matrix_dynamical"):
+        monkeypatch.setattr(d, name, None)   # any factorisation or solve would fail
+    with pytest.raises(ValueError, match="verify_tol must be positive and finite"):
+        VERIFY_TOL_CALLS[call](bad)
