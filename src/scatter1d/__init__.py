@@ -48,12 +48,9 @@ from .exact import (
     delta_matrix,
     exact_matrix,
     locally_periodic_matrix,
-    multi_delta_matrix,
-    piecewise_matrix,
     unimodular_power,
 )
 from .engines import (
-    EffectiveHamiltonian,
     InconsistentTransmission,
     LsResult,
     SCurvePoleError,

@@ -27,7 +27,7 @@ from .transfer import (
     ScatteringData,
     SpectralSingularityError,
     TransferMatrix,
-    _check_tol,
+    _check_positive_finite,
     amplitudes_from_matrix,
 )
 
@@ -74,9 +74,8 @@ def born_first(p: Potential, k: float, tol: float = 1e-10) -> ScatteringData:
 
     R_l = v~(-2k)/2ik,  R_r = v~(2k)/2ik,  T = 1 + v~(0)/2ik.
     """
-    if not 0 < k < np.inf:
-        raise ValueError("k must be positive and finite")
-    _check_tol(tol)
+    _check_positive_finite(k, "k")
+    _check_positive_finite(tol, "tol")
     two_ik = 2j * k
     return ScatteringData(
         p.fourier(-2 * k, tol) / two_ik,
@@ -86,53 +85,40 @@ def born_first(p: Potential, k: float, tol: float = 1e-10) -> ScatteringData:
     )
 
 
-def _amplitudes_of_truncation(m: TransferMatrix) -> ScatteringData:
-    try:
-        return amplitudes_from_matrix(m)
-    except SpectralSingularityError as exc:
-        raise DysonSingularError(f"truncated {exc}") from exc
-
-
 def dyson_order1(p: Potential, k: float, tol: float = 1e-10) -> ApproxReport:
     """First-order truncation M^(1); exact for a single delta term."""
-    if not 0 < k < np.inf:
-        raise ValueError("k must be positive and finite")
-    _check_tol(tol)
-    v0 = p.fourier(0.0, tol)
-    vp = p.fourier(2 * k, tol)
-    vm = p.fourier(-2 * k, tol)
-    c = -1j / (2 * k)
-    m = TransferMatrix(
-        [[1.0 + c * v0, c * vp], [-c * vm, 1.0 - c * v0]], k
-    )
-    return ApproxReport(1, "dyson", m, _amplitudes_of_truncation(m))
+    return _dyson(p, k, tol, 1)
 
 
 def dyson_order2(p: Potential, k: float, tol: float = 1e-10) -> ApproxReport:
     """Second-order truncation M^(2); exact for double-delta combs."""
-    if not 0 < k < np.inf:
-        raise ValueError("k must be positive and finite")
-    _check_tol(tol)
-    v0 = p.fourier(0.0, tol)
-    vp = p.fourier(2 * k, tol)
-    vm = p.fourier(-2 * k, tol)
-    d00 = p.double_fourier(0.0, 0.0, tol)
-    dmp = p.double_fourier(-2 * k, 2 * k, tol)
-    dpm = p.double_fourier(2 * k, -2 * k, tol)
-    dp0 = p.double_fourier(2 * k, 0.0, tol)
-    d0p = p.double_fourier(0.0, 2 * k, tol)
-    dm0 = p.double_fourier(-2 * k, 0.0, tol)
-    d0m = p.double_fourier(0.0, -2 * k, tol)
+    return _dyson(p, k, tol, 2)
+
+
+def _dyson(p: Potential, k: float, tol: float, order: int) -> ApproxReport:
+    """The order-1 or order-2 truncation of the module docstring, its
+    amplitudes read through the exact dictionary."""
+    _check_positive_finite(k, "k")
+    _check_positive_finite(tol, "tol")
+    v0, vp, vm = (p.fourier(kappa, tol) for kappa in (0.0, 2 * k, -2 * k))
     c = -1j / (2 * k)
-    q = 1.0 / (4 * k * k)
-    m = TransferMatrix(
-        [
-            [1.0 + c * v0 + q * (dmp - d00), c * vp - q * (dp0 - d0p)],
-            [-c * vm - q * (dm0 - d0m), 1.0 - c * v0 + q * (dpm - d00)],
-        ],
-        k,
-    )
-    return ApproxReport(2, "dyson", m, _amplitudes_of_truncation(m))
+    m = [[1.0 + c * v0, c * vp], [-c * vm, 1.0 - c * v0]]
+    if order == 2:
+        d00, dmp, dpm, dp0, d0p, dm0, d0m = (
+            p.double_fourier(k1, k2, tol) for k1, k2 in (
+                (0.0, 0.0), (-2 * k, 2 * k), (2 * k, -2 * k), (2 * k, 0.0), (0.0, 2 * k),
+                (-2 * k, 0.0), (0.0, -2 * k)))
+        q = 1.0 / (4 * k * k)
+        m[0][0] += q * (dmp - d00)
+        m[0][1] -= q * (dp0 - d0p)
+        m[1][0] -= q * (dm0 - d0m)
+        m[1][1] += q * (dpm - d00)
+    matrix = TransferMatrix(m, k)
+    try:
+        data = amplitudes_from_matrix(matrix)
+    except SpectralSingularityError as exc:
+        raise DysonSingularError(f"truncated {exc}") from exc
+    return ApproxReport(order, "dyson", matrix, data)
 
 
 def born_inverse(
@@ -141,7 +127,6 @@ def born_inverse(
     side: str = "right",
     window: float | None = None,
     npoints: int = 4096,
-    center: float = 0.0,
 ) -> Sampled:
     """Recover v from first-Born reflection data sampled on a two-sided k grid.
 
@@ -151,7 +136,8 @@ def born_inverse(
     with F^{-1}_x{g} = (1/2pi) integral e^{ikx} g(k) dk evaluated by the
     trapezoid rule over the sampled band and differentiated by centered
     differences on the output grid.  Callers must supply data for both signs
-    of k (no analytic continuation is attempted here).
+    of k (no analytic continuation is attempted here).  v is returned on
+    npoints points spanning ``window`` (8/k_max by default), centred on x = 0.
     """
     k_arr = np.asarray(k_samples, dtype=float)
     r_arr = np.asarray(r_samples, dtype=complex)
@@ -169,7 +155,7 @@ def born_inverse(
 
     k_max = float(k_arr[-1])
     width = 8.0 / k_max if window is None else float(window)
-    x = np.linspace(center - width / 2, center + width / 2, npoints)
+    x = np.linspace(-width / 2, width / 2, npoints)
     sign = 1.0 if side == "right" else -1.0
     # g(x) = (1/2pi) sum w_j e^{2 i sign k_j x} R(k_j)
     weights = np.empty_like(k_arr)

@@ -23,12 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._g17 import format_rows
-from .engines import transfer_matrix_dynamical
-from .exact import structural_matrix
 from .potentials import Potential, SmisProfile, Sum
 from .scan import matrix_at
 from .transfer import (
-    ScatteringData, TransferMatrix, _check_tol, chain_product, matrix_from_amplitudes,
+    ScatteringData, TransferMatrix, _check_positive_finite, chain_product, matrix_from_amplitudes,
     time_reverse_stack,
 )
 
@@ -51,6 +49,7 @@ __all__ = [
 C_MIN = 27.0 / 8.0          # below this the magnitude cubic has no usable root
 DEFAULT_ALPHA_MAX = 1e-2    # optics-friendly profile amplitude ceiling
 DEFAULT_VERIFY_TOL = 1e-6
+PROFILE_POINTS = 2048       # samples of write_profile_csv over the support
 
 
 class DesignError(RuntimeError):
@@ -149,9 +148,9 @@ def alpha_for_reflection(magnitude: float, winding: int) -> float:
     return usable[0] - 1.0
 
 
-def default_winding(magnitude: float, alpha_max: float = DEFAULT_ALPHA_MAX) -> int:
-    """Smallest winding keeping the profile amplitude parameter <= alpha_max."""
-    c_needed = (1.0 + alpha_max) ** 3 / (2.0 * alpha_max)
+def default_winding(magnitude: float) -> int:
+    """Smallest winding keeping the profile amplitude parameter <= DEFAULT_ALPHA_MAX."""
+    c_needed = (1.0 + DEFAULT_ALPHA_MAX) ** 3 / (2.0 * DEFAULT_ALPHA_MAX)
     return max(1, math.ceil(c_needed * magnitude / (4.0 * np.pi)))
 
 
@@ -191,10 +190,7 @@ def build_right_invisible(
     The block is checked on the amplitudes of
     ``matrix_at(profile, k0, "auto", verify_tol / 50)``, the dynamical engine.
     """
-    _check_tol(verify_tol, "verify_tol")
-    profile = _invisible_profile(k0, r_left_target, winding, m, conjugated=False)
-    matrix = matrix_at(profile, k0, "auto", verify_tol / 50)
-    return _checked_block(profile, r_left_target, matrix, verify_tol)
+    return _build_block(k0, r_left_target, winding, m, verify_tol, conjugated=False)
 
 
 def build_left_invisible(
@@ -211,10 +207,18 @@ def build_left_invisible(
     The block is checked on the amplitudes of
     ``matrix_at(profile, k0, "auto", verify_tol / 50)``, the dynamical engine.
     """
-    _check_tol(verify_tol, "verify_tol")
-    profile = _invisible_profile(k0, r_right_target, winding, m, conjugated=True)
-    matrix = matrix_at(profile, k0, "auto", verify_tol / 50)
-    return _checked_block(profile, r_right_target, matrix, verify_tol)
+    return _build_block(k0, r_right_target, winding, m, verify_tol, conjugated=True)
+
+
+def _build_block(
+    k0: float, reflection: complex, winding: int | None, m: int, verify_tol: float,
+    conjugated: bool,
+) -> InvisibleBlock:
+    """The checked block of ``_invisible_profile``, solved by ``matrix_at``."""
+    _check_positive_finite(verify_tol, "verify_tol")
+    profile = _invisible_profile(k0, reflection, winding, m, conjugated)
+    return _checked_block(profile, reflection, matrix_at(profile, k0, "auto", verify_tol / 50),
+                          verify_tol)
 
 
 def _translation(k0: float, reflection: complex, m: int, conjugated: bool) -> float:
@@ -255,7 +259,7 @@ def _checked_block(
 # ---------------------------------------------------------------------------
 
 
-def factor_matrices(spec: DesignSpec, rho: complex | None = None) -> list[np.ndarray]:
+def factor_matrices(spec: DesignSpec) -> list[np.ndarray]:
     """Triangular factors, in spatial order, whose right-to-left product is
     the target transfer matrix at k0.
 
@@ -285,15 +289,14 @@ def factor_matrices(spec: DesignSpec, rho: complex | None = None) -> list[np.nda
         if unit_t:
             factors = [lower(-rl0), upper(rr0)]
         else:
-            rho_star = (t0 - 1.0) / rr0 if rho is None else complex(rho)
+            rho_star = (t0 - 1.0) / rr0
             factors = [lower(rho_star * t0 - rl0), upper(rr0 / t0), lower(-rho_star)]
     elif rl0 != 0:
-        reversed_factors = factor_matrices(_time_reversed_spec(spec), rho)
-        factors = [time_reverse_stack(f) for f in reversed_factors]
+        factors = [time_reverse_stack(f) for f in factor_matrices(_time_reversed_spec(spec))]
     else:
         if unit_t:
             return []
-        rho_v = (1.0 / t0) if rho is None else complex(rho)
+        rho_v = 1.0 / t0
         factors = [
             lower(rho_v * t0),
             upper((t0 - 1.0) / (rho_v * t0)),
@@ -364,6 +367,12 @@ def _place_blocks(
     return placed
 
 
+def _product(factors: list[np.ndarray]) -> np.ndarray:
+    """Right-to-left product of 2x2 matrices given in spatial order; the
+    identity when there are none."""
+    return chain_product(np.stack(factors)) if factors else np.eye(2, dtype=complex)
+
+
 def solve_single_mode(
     spec: DesignSpec,
     winding: int | None = None,
@@ -376,12 +385,13 @@ def solve_single_mode(
     One block per factor of ``factor_matrices``: a right-invisible block for
     each lower-triangular factor, a left-invisible one for each upper.  Blocks
     are placed left to right with positive gaps (whole-period translations
-    keep each block's amplitudes on target).  The composed potential is
-    forward-verified with ``matrix_at(potential, k0, "auto", verify_tol / 50)``,
-    which solves each block once with the dynamical engine; every block is
-    checked on its own matrix from that solve.
+    keep each block's amplitudes on target).  Each block is solved once, by
+    ``matrix_at(block, k0, "auto", verify_tol / 50 / len(blocks))``, and
+    checked on that matrix.  The product of the blocks' matrices, which is
+    ``matrix_at(potential, k0, "auto", verify_tol / 50)``, forward-verifies
+    the composed potential.
     """
-    _check_tol(verify_tol, "verify_tol")
+    _check_positive_finite(verify_tol, "verify_tol")
     k0 = spec.k0
     ell = math.pi / k0
     gap = ell / 4 if gap is None else float(gap)
@@ -392,42 +402,21 @@ def solve_single_mode(
     potential = Sum([profile for profile, _ in placed])
     target = spec.target_matrix().m
     scale = max(1.0, float(np.abs(target).max()))
+    mats = [matrix_at(profile, k0, "auto", verify_tol / 50 / len(placed)) for profile, _ in placed]
+    blocks = [_checked_block(p, r, m, verify_tol) for (p, r), m in zip(placed, mats)]
 
-    blocks: list[InvisibleBlock] = []
-    if placed:
-        # matrix_at's 'auto' pass, keeping each block's leaf matrix
-        ks = np.array([k0])
-        leaf_tol = verify_tol / 50 / len(placed)
-        leaves: dict[int, np.ndarray] = {}
-
-        def leaf(q: Potential) -> np.ndarray:
-            leaves[id(q)] = out = transfer_matrix_dynamical(q, ks, leaf_tol)
-            return out
-
-        achieved = structural_matrix(potential, ks, leaf)[0]
-        blocks = [
-            _checked_block(p, r, TransferMatrix(leaves[id(p)][0], k0), verify_tol)
-            for p, r in placed
-        ]
-        achieved_alg = chain_product(np.stack([b.factor for b in blocks]))
-    else:
-        achieved_alg = np.eye(2, dtype=complex)
-    alg_residual = float(np.abs(achieved_alg - target).max())
+    alg_residual = float(np.abs(_product([b.factor for b in blocks]) - target).max())
     if not alg_residual <= 1e-10 * scale:
         raise DesignError(
             f"factorization does not reproduce the target matrix: {alg_residual:.3e}"
         )
-
-    if blocks:
-        residual = float(np.abs(achieved - target).max())
-        if not residual <= 5 * verify_tol * scale:
-            raise DesignVerificationError(
-                "composed potential failed forward verification",
-                {"matrix_residual": residual},
-            )
-    else:
-        achieved = achieved_alg
-        residual = alg_residual
+    achieved = _product([m.m for m in mats])
+    residual = float(np.abs(achieved - target).max())
+    if blocks and not residual <= 5 * verify_tol * scale:
+        raise DesignVerificationError(
+            "composed potential failed forward verification",
+            {"matrix_residual": residual},
+        )
 
     return DesignResult(
         spec=spec,
@@ -439,14 +428,14 @@ def solve_single_mode(
     )
 
 
-def write_profile_csv(potential: Potential, path, npoints: int = 2048) -> None:
+def write_profile_csv(potential: Potential, path) -> None:
     """Sampled profile export (x, Re v, Im v) for plotting or fabrication,
     every number as ``'%.17g'`` from one ``_g17.format_rows`` call."""
     a, b = potential.support()
     if b <= a:
         x = np.array([a, a + 1.0])
     else:
-        x = np.linspace(a, b, npoints)
+        x = np.linspace(a, b, PROFILE_POINTS)
     v = np.atleast_1d(potential.evaluate(x))
     with open(path, "w") as fh:
         fh.write("x,re_v,im_v\n")

@@ -71,17 +71,16 @@ from .potentials import (SLICE_CAP, Potential, _cuts, _edges, _gauss_points, _le
                          _romberg_row, _spans, _start)
 from .transfer import (
     IDENTITY,
-    KMAT,
-    SIGMA3,
     ScatteringData,
     TransferMatrix,
-    _check_tol,
+    _check_positive_finite,
+    _flat_k,
     _pair_products,
+    _shaped_like_k,
     chain_product,
 )
 
 __all__ = [
-    "EffectiveHamiltonian",
     "WaveSolution",
     "LsResult",
     "SCurveTrace",
@@ -112,32 +111,6 @@ class InconsistentTransmission(RuntimeError):
 
 class SCurvePoleError(RuntimeError):
     """S or S' passed within tolerance of zero on the integration contour."""
-
-
-@dataclass(frozen=True)
-class EffectiveHamiltonian:
-    """Generator of the dynamical formulation for a given potential and k.
-
-    Interaction picture: H(x) = (v(x)/2k) e^{-ikx sigma3} K e^{ikx sigma3},
-    traceless and nilpotent-valued (K^2 = 0); Schroedinger picture:
-    H_s(x) = (v(x)/2k) K - k sigma3 with free part H0 = -k sigma3.
-    """
-
-    potential: Potential
-    k: float
-
-    def interaction(self, x: float) -> np.ndarray:
-        v = self.potential.evaluate(x)
-        ph = np.exp(2j * self.k * x)
-        w = v / (2 * self.k)
-        return np.array([[w, w / ph], [-w * ph, -w]], dtype=complex)
-
-    def schroedinger(self, x: float) -> np.ndarray:
-        v = self.potential.evaluate(x)
-        return (v / (2 * self.k)) * KMAT - self.k * SIGMA3
-
-    def free(self) -> np.ndarray:
-        return -self.k * SIGMA3
 
 
 def _active(p: Potential, spans: list) -> list:
@@ -188,10 +161,8 @@ def transfer_matrix_dynamical(
     count and its own acceptance level, so each matrix is the one a batch of
     one would give.
     """
-    ks = np.atleast_1d(np.asarray(k, dtype=float)).ravel()
-    if not np.all((ks > 0) & (ks < np.inf)):
-        raise ValueError("k must be positive and finite")
-    _check_tol(tol)
+    ks = _flat_k(k)
+    _check_positive_finite(tol, "tol")
     spans = _active(p, _spans(p))
     deltas = [(a, delta_matrices(z, a, ks)) for z, a in p.delta_terms()]
     if spans:
@@ -206,9 +177,7 @@ def transfer_matrix_dynamical(
         out = chain_product(np.stack([m for _, m in deltas], axis=-3))
     else:
         out = np.broadcast_to(IDENTITY, ks.shape + (2, 2)).copy()
-    if np.ndim(k) == 0:
-        return TransferMatrix(out[0], k)
-    return out.reshape(np.shape(k) + (2, 2))
+    return _shaped_like_k(out, k)
 
 
 PASS_SLICES = 2**12   # slice matrices held by one pass over a batch of k
@@ -497,6 +466,13 @@ def _schrodinger_rhs(k: float):
     return rhs
 
 
+def _plane_waves(psi, dpsi, k, x) -> tuple:
+    """(A, B) of psi = A e^{ikx} + B e^{-ikx}, psi' = ik (A e^{ikx} - B e^{-ikx})
+    from psi and psi' at x: A = e^{-ikx}(psi + psi'/ik)/2, B = e^{ikx}(psi - psi'/ik)/2."""
+    ik = 1j * k
+    return 0.5 * np.exp(-1j * k * x) * (psi + dpsi / ik), 0.5 * np.exp(ik * x) * (psi - dpsi / ik)
+
+
 def _delta_strengths(p: Potential) -> dict[float, complex]:
     """Delta strengths by location, merged (a Sum may stack terms at one point)."""
     delta_at: dict[float, complex] = {}
@@ -512,13 +488,14 @@ def scattering_solution(
 
     side='left': left-incident wave; starts at the right edge with the
     outgoing unit-amplitude wave e^{ikx} and integrates to the left edge.
-    Delta terms impose the derivative jump psi'(a+) = psi'(a-) + z psi(a).
+    side='right' starts at the left edge with e^{-ikx} and integrates to the
+    right edge.  Delta terms impose the derivative jump psi'(a+) = psi'(a-) +
+    z psi(a).
     """
-    if not 0 < k < np.inf:
-        raise ValueError("k must be positive and finite")
+    _check_positive_finite(k, "k")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    _check_tol(tol)
+    _check_positive_finite(tol, "tol")
     a, b = p.support()
     delta_at = _delta_strengths(p)
 
@@ -526,11 +503,9 @@ def scattering_solution(
     backward = side == "left"
     if backward:
         checkpoints = checkpoints[::-1]
-        psi = np.exp(1j * k * b)
-        dpsi = 1j * k * psi
-    else:
-        psi = np.exp(-1j * k * a)
-        dpsi = -1j * k * psi
+    start, end, ik = (b, a, 1j * k) if backward else (a, b, -1j * k)
+    psi = np.exp(ik * start)   # the outgoing wave e^{+-ikx} and its derivative
+    dpsi = ik * psi
 
     quad_smooth = np.zeros(2, dtype=complex)  # (int e^{-iky} v psi, int e^{+iky} v psi)
     quad_delta = np.zeros(2, dtype=complex)
@@ -558,16 +533,14 @@ def scattering_solution(
     # at a spectral singularity the denominators vanish; keep the coefficients
     # finite and let r, t go to inf rather than raising
     with np.errstate(divide="ignore", invalid="ignore"):
-        if backward:
-            a_m = 0.5 * np.exp(-1j * k * a) * (psi + dpsi / (1j * k))
-            b_m = 0.5 * np.exp(1j * k * a) * (psi - dpsi / (1j * k))
-            coeffs = dict(a_minus=a_m, b_minus=b_m, a_plus=1.0 + 0j, b_plus=0.0 + 0j)
-            r, t_amp = b_m / a_m, 1.0 / a_m
-        else:
-            a_p = 0.5 * np.exp(-1j * k * b) * (psi + dpsi / (1j * k))
-            b_p = 0.5 * np.exp(1j * k * b) * (psi - dpsi / (1j * k))
-            coeffs = dict(a_minus=0.0 + 0j, b_minus=1.0 + 0j, a_plus=a_p, b_plus=b_p)
-            r, t_amp = a_p / b_p, 1.0 / b_p
+        a_end, b_end = _plane_waves(psi, dpsi, k, end)
+        # the incident and reflected amplitudes: (A_-, B_-) from the left, (B_+, A_+) from the right
+        incident, reflected = (a_end, b_end) if backward else (b_end, a_end)
+        r, t_amp = reflected / incident, 1.0 / incident
+    if backward:
+        coeffs = dict(a_minus=a_end, b_minus=b_end, a_plus=1.0 + 0j, b_plus=0.0 + 0j)
+    else:
+        coeffs = dict(a_minus=0.0 + 0j, b_minus=1.0 + 0j, a_plus=a_end, b_plus=b_end)
 
     if x_all.size:
         order = np.argsort(x_all)
@@ -575,7 +548,7 @@ def scattering_solution(
         psi_all = (y_all[0] + 1j * y_all[1])[order]
         dpsi_all = (y_all[2] + 1j * y_all[3])[order]
     else:
-        x_all = np.array([a if backward else b])
+        x_all = np.array([end])
         psi_all = np.array([psi])
         dpsi_all = np.array([dpsi])
 
@@ -642,10 +615,8 @@ def transfer_matrix_wave(p: Potential, k, tol: float = 1e-10) -> TransferMatrix 
     batch, the error of M grows as the step tol and reached 0.51 tol
     (``bilayer_w2`` at k = 0.7); steps held to tol itself reached 9.9 tol.
     """
-    ks = np.atleast_1d(np.asarray(k, dtype=float)).ravel()
-    if not np.all((ks > 0) & (ks < np.inf)):
-        raise ValueError("k must be positive and finite")
-    _check_tol(tol)
+    ks = _flat_k(k)
+    _check_positive_finite(tol, "tol")
     a, b = p.support()
     delta_at = _delta_strengths(p)
     ik = 1j * ks[:, None]
@@ -664,13 +635,9 @@ def transfer_matrix_wave(p: Potential, k, tol: float = 1e-10) -> TransferMatrix 
     cuts = _cuts(_edges(p), p.interpolation_nodes()).tolist()[::-1]
     rhs = _fundamental_rhs_one(float(ks[0])) if ks.size == 1 else _fundamental_rhs(ks)
     _integrate_pieces(rhs, p, cuts, end.reshape(-1).view(float), tol / 20, at_cut, ks.size)
-    psi, dpsi = end[..., 0], end[..., 1]   # at a, (k, column)
-    a_minus = 0.5 * np.exp(-ik * a) * (psi + dpsi / ik)
-    b_minus = 0.5 * np.exp(ik * a) * (psi - dpsi / ik)
+    a_minus, b_minus = _plane_waves(end[..., 0], end[..., 1], ks[:, None], a)   # (k, column)
     m = np.stack([b_minus[:, 1], -a_minus[:, 1], -b_minus[:, 0], a_minus[:, 0]], axis=-1)
-    if np.ndim(k) == 0:
-        return TransferMatrix(m[0].reshape(2, 2), k)
-    return m.reshape(np.shape(k) + (2, 2))
+    return _shaped_like_k(m.reshape(-1, 2, 2), k)
 
 
 @dataclass(frozen=True)
@@ -688,7 +655,7 @@ def ls_amplitudes(p: Potential, k: float, tol: float = 1e-10) -> LsResult:
     Runs both one-sided solves; the two independent transmission evaluations
     must agree within 10*tol.
     """
-    _check_tol(tol)
+    _check_positive_finite(tol, "tol")
     left = scattering_solution(p, k, "left", tol)
     right = scattering_solution(p, k, "right", tol)
     two_ik = 2j * k
@@ -735,9 +702,10 @@ def _s_curve_rhs(k: float):
     return rhs
 
 
-def s_curve_solve(
-    p: Potential, k: float, tol: float = 1e-10, pole_tol: float = 1e-8
-) -> tuple[ScatteringData, SCurveTrace]:
+POLE_TOL = 1e-8   # |S| or |S'| below this times its largest value on the contour is a pole
+
+
+def s_curve_solve(p: Potential, k: float, tol: float = 1e-10) -> tuple[ScatteringData, SCurveTrace]:
     """Amplitudes from the unit-circle initial-value problem.
 
     In the x chart (z = e^{-2ikx}, s(x) = S(z)) the curve equation
@@ -749,11 +717,10 @@ def s_curve_solve(
     R^l = integral 2ik z v / s'^2 dx (the contour integral of
     -S''/(S S'^2) dz in the z chart).
     """
-    if not 0 < k < np.inf:
-        raise ValueError("k must be positive and finite")
+    _check_positive_finite(k, "k")
     if p.delta_terms():
         raise ValueError("delta terms are not supported by the S-curve method")
-    _check_tol(tol)
+    _check_positive_finite(tol, "tol")
     a, b = p.support()
     if p.is_trivial():
         trace = SCurveTrace(
@@ -780,10 +747,10 @@ def s_curve_solve(
     min_sp = float(np.abs(s_prime_z).min())
     scale_s = float(np.abs(s_all).max())
     scale_sp = float(np.abs(s_prime_z).max())
-    if min_s < pole_tol * scale_s or min_sp < pole_tol * scale_sp:
-        which = "S" if min_s < pole_tol * scale_s else "S'"
+    if min_s < POLE_TOL * scale_s or min_sp < POLE_TOL * scale_sp:
+        which = "S" if min_s < POLE_TOL * scale_s else "S'"
         raise SCurvePoleError(
-            f"{which} passed within {pole_tol:g} (relative) of zero on the contour; "
+            f"{which} passed within {POLE_TOL:g} (relative) of zero on the contour; "
             "the left-reflection integrand has a pole there - fall back to the "
             "dynamical engine"
         )

@@ -28,6 +28,7 @@ from .potentials import (
 from .transfer import (
     IDENTITY,
     TransferMatrix,
+    _check_positive_finite,
     chain_product,
     time_reverse_stack,
     translate_stack,
@@ -36,9 +37,7 @@ from .transfer import (
 __all__ = [
     "delta_matrix",
     "delta_matrices",
-    "multi_delta_matrix",
     "barrier_matrix",
-    "piecewise_matrix",
     "UnimodularPower",
     "unimodular_power",
     "locally_periodic_matrix",
@@ -61,8 +60,7 @@ def delta_matrix(strength: complex, location: float, k: float) -> TransferMatrix
 
     M = (1/2k) [[2k - iz, -iz e^{-2iak}], [iz e^{2iak}, 2k + iz]].
     """
-    if not 0 < k < np.inf:
-        raise ValueError("k must be positive and finite")
+    _check_positive_finite(k, "k")
     return TransferMatrix(delta_matrices(strength, location, k), k)
 
 
@@ -78,11 +76,6 @@ def delta_matrices(strengths, locations, k) -> np.ndarray:
     out[..., 1, 0] = 1j * z * ph / (2 * k)
     out[..., 1, 1] = (2 * k + 1j * z) / (2 * k)
     return out
-
-
-def multi_delta_matrix(comb: DeltaComb, k: float) -> TransferMatrix:
-    """Composition of single-delta matrices in spatial order (one per term)."""
-    return exact_matrix(comb, k)
 
 
 def barrier_slice_matrices(heights, left_edges, right_edges, k, tilt=0.0) -> np.ndarray:
@@ -141,19 +134,13 @@ def barrier_slice_matrices(heights, left_edges, right_edges, k, tilt=0.0) -> np.
 
 def barrier_matrix(height: complex, a_minus: float, a_plus: float, k: float) -> TransferMatrix:
     """Exact transfer matrix of a rectangular barrier of given height on [a_minus, a_plus]."""
-    if not 0 < k < np.inf:
-        raise ValueError("k must be positive and finite")
+    _check_positive_finite(k, "k")
     if not a_minus < a_plus:
         raise ValueError("need a_minus < a_plus")
     m = barrier_slice_matrices(
         np.array([height]), np.array([a_minus]), np.array([a_plus]), k
     )[0]
     return TransferMatrix(m, k)
-
-
-def piecewise_matrix(p: PiecewiseConstant, k: float) -> TransferMatrix:
-    """Cell-by-cell composition of exact barrier matrices, left to right."""
-    return exact_matrix(p, k)
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +207,9 @@ def unimodular_power(base, n: int) -> UnimodularPower:
     return UnimodularPower(L, n, gamma, u_n, u_n1, value)
 
 
-def locally_periodic_matrix(
-    cell_matrix: TransferMatrix, ell: float, n: int, k: float | None = None
-) -> TransferMatrix:
-    """Transfer matrix of n copies of a cell repeated with period ell.
+def locally_periodic_matrix(cell_matrix: TransferMatrix, ell: float, n: int) -> TransferMatrix:
+    """Transfer matrix of n copies of a cell repeated with period ell, at the
+    cell matrix's wavenumber.
 
     cell_matrix is the transfer matrix of the generator cell in place (first
     copy); subsequent copies sit at +ell, +2 ell, ...  Equivalent to composing
@@ -231,11 +217,8 @@ def locally_periodic_matrix(
     """
     if int(n) < 1:
         raise ValueError("n must be a positive integer")
-    n = int(n)
-    k = cell_matrix.k if k is None else k
-    if k != cell_matrix.k:
-        raise ValueError("cell matrix wavenumber disagrees with k")
-    return TransferMatrix(_repeat(cell_matrix.m, k, ell, n), k)
+    k = cell_matrix.k
+    return TransferMatrix(_repeat(cell_matrix.m, k, ell, int(n)), k)
 
 
 def _repeat(m1: np.ndarray, k, ell: float, n: int) -> np.ndarray:
@@ -316,6 +299,5 @@ def exact_matrix(p: Potential, k: float) -> TransferMatrix:
 
     Raises NotExactlySolvable at the first leaf with no closed form.
     """
-    if not 0 < k < np.inf:
-        raise ValueError("k must be positive and finite")
+    _check_positive_finite(k, "k")
     return TransferMatrix(structural_matrix(p, k, None), k)

@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .transfer import _check_tol
+from .transfer import _check_positive_finite
 
 SCHEMA_VERSION = "v1"
 
@@ -313,7 +313,7 @@ class Potential:
 
     def fourier(self, kappa: float, tol: float = 1e-10) -> complex:
         """ṽ(kappa) = integral e^{-i kappa x} v(x) dx (delta terms included)."""
-        _check_tol(tol)
+        _check_positive_finite(tol, "tol")
         smooth = self._fourier_smooth(kappa, tol)
         for z, a in self.delta_terms():
             smooth += z * np.exp(-1j * kappa * a)
@@ -321,7 +321,7 @@ class Potential:
 
     def double_fourier(self, k1: float, k2: float, tol: float = 1e-9) -> complex:
         """Ordered transform: integral over x1 < x2 of e^{-i(k1 x1 + k2 x2)} v(x1) v(x2)."""
-        _check_tol(tol)
+        _check_positive_finite(tol, "tol")
         return self._double_fourier(k1, k2, tol)
 
     def _fourier_smooth(self, kappa: float, tol: float) -> complex:
@@ -904,8 +904,7 @@ def from_permittivity(grid, eps_hat, k: float, tol: float = 1e-6) -> Sampled:
         raise ValueError("grid must be uniform and increasing")
     if abs(eps[0] - 1.0) > tol or abs(eps[-1] - 1.0) > tol:
         raise ValueError("permittivity must equal 1 at both grid ends")
-    if not 0 < k < np.inf:
-        raise ValueError("k must be positive and finite")
+    _check_positive_finite(k, "k")
     return Sampled(grid[0], float(steps.mean()), k * k * (1.0 - eps))
 
 
@@ -925,11 +924,9 @@ def _uncplx(v) -> complex:
     return complex(v[0], v[1])
 
 
-def potential_to_dict(p: Potential, with_version: bool = True) -> dict:
-    d = p.to_dict()
-    if with_version:
-        d = {"schema": SCHEMA_VERSION, **d}
-    return d
+def potential_to_dict(p: Potential) -> dict:
+    """``p.to_dict()`` under the schema version."""
+    return {"schema": SCHEMA_VERSION, **p.to_dict()}
 
 
 def potential_from_dict(d: dict) -> Potential:

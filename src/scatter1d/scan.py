@@ -38,7 +38,9 @@ from .transfer import (
     Classification,
     TransferMatrix,
     _amplitude_dictionary,
-    _check_tol,
+    _check_positive_finite,
+    _flat_k,
+    _shaped_like_k,
     classify,
     flag_stack,
 )
@@ -58,6 +60,7 @@ __all__ = [
 REFINE_TRIGGER = 1e-2  # refine local minima with |entry| below this times ||M||
 STENCIL = 0.01   # refine_zero's difference step, as a share of the bracket
 MAX_STEPS = 12   # refine_zero's Newton steps at most
+SCAN_DENSITY = 512   # default_scan_points' grid points per 2 pi of k L
 
 
 class NoZeroFound(RuntimeError):
@@ -87,10 +90,8 @@ def matrix_at(
     """
     if solver not in ("exact", "dynamical", "auto"):
         raise ValueError(f"unknown solver {solver!r}")
-    _check_tol(tol, "tol")
-    ks = np.atleast_1d(np.asarray(k, dtype=float)).ravel()
-    if not np.all((ks > 0) & (ks < np.inf)):
-        raise ValueError("k must be positive and finite")
+    _check_positive_finite(tol, "tol")
+    ks = _flat_k(k)
     if solver == "dynamical":
         m = transfer_matrix_dynamical(p, ks, tol)
     elif solver == "exact":
@@ -98,13 +99,11 @@ def matrix_at(
     else:
         leaf_tol = tol / max(1, numeric_leaf_copies(p))
         m = structural_matrix(p, ks, lambda q: transfer_matrix_dynamical(q, ks, leaf_tol))
-    if np.ndim(k) == 0:
-        return TransferMatrix(m[0], k)
-    return m.reshape(np.shape(k) + (2, 2))
+    return _shaped_like_k(m, k)
 
 
-def default_scan_points(p: Potential, k_min: float, k_max: float, density: int = 512) -> int:
-    """Grid size from the spec density: `density` points per unit of k*L.
+def default_scan_points(p: Potential, k_min: float, k_max: float) -> int:
+    """Grid size from the spec density: SCAN_DENSITY points per 2 pi of k*L.
 
     Real zeros of the analytic entries are isolated but their spacing is not
     known a priori; this heuristic respects the support length.
@@ -112,7 +111,7 @@ def default_scan_points(p: Potential, k_min: float, k_max: float, density: int =
     _check_finite(k_min, k_max)
     a, b = p.support()
     span = max(b - a, 1e-12)
-    return max(2, math.ceil(density * (k_max - k_min) * span / (2 * math.pi)))
+    return max(2, math.ceil(SCAN_DENSITY * (k_max - k_min) * span / (2 * math.pi)))
 
 
 def _check_finite(k_min: float, k_max: float) -> None:
@@ -181,7 +180,7 @@ def scan(
     fails is dropped and the others keep theirs.
     """
     _check_finite(k_min, k_max)
-    _check_tol(zero_tol, "zero_tol")
+    _check_positive_finite(zero_tol, "zero_tol")
     if not (0 < k_min < k_max):
         raise ValueError("need 0 < k_min < k_max")
     if points < 2:
@@ -295,8 +294,8 @@ def refine_zero(
     """
     if entry not in ENTRY_NAMES:
         raise ValueError(f"entry must be one of {ENTRY_NAMES}")
-    _check_tol(tol, "tol")
-    _check_tol(solver_tol, "solver_tol")
+    _check_positive_finite(tol, "tol")
+    _check_positive_finite(solver_tol, "solver_tol")
     k_lo, k_hi = bracket
     if not (0 < k_lo < k_hi < math.inf):
         raise ValueError("bracket must satisfy 0 < k_lo < k_hi < inf")

@@ -22,7 +22,7 @@ one matrix at one k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,10 +63,11 @@ ENTRY_NAMES = ("M11", "M12", "M21", "M22")
 ENTRY_INDEX = {"M11": (0, 0), "M12": (0, 1), "M21": (1, 0), "M22": (1, 1)}
 
 
-def _check_tol(tol: float, name: str = "tol") -> None:
-    """Refuse a tolerance no solve can meet (non-positive) or check (NaN, inf),
-    before any solve starts."""
-    if not 0 < tol < np.inf:
+def _check_positive_finite(value: float, name: str) -> None:
+    """Refuse a scalar wavenumber or tolerance that is not positive and finite:
+    no solve can meet a non-positive tol or check a NaN or infinite one, and
+    k is positive by convention.  Called before any solve starts."""
+    if not 0 < value < np.inf:
         raise ValueError(f"{name} must be positive and finite")
 
 
@@ -104,8 +105,7 @@ class TransferMatrix:
         arr = np.asarray(m, dtype=complex)
         if arr.shape != (2, 2):
             raise ValueError("transfer matrix must be 2x2")
-        if not 0 < k < np.inf:
-            raise ValueError("k must be positive and finite")
+        _check_positive_finite(k, "k")
         object.__setattr__(self, "m", arr)
         object.__setattr__(self, "k", float(k))
 
@@ -160,6 +160,23 @@ class TransferMatrix:
             "M21": [self.m21.real, self.m21.imag],
             "M22": [self.m22.real, self.m22.imag],
         }
+
+
+def _flat_k(k) -> np.ndarray:
+    """A scalar or array k as the 1D batch axis of a solver, refused unless
+    every k is positive and finite."""
+    ks = np.atleast_1d(np.asarray(k, dtype=float)).ravel()
+    if not np.all((ks > 0) & (ks < np.inf)):
+        raise ValueError("k must be positive and finite")
+    return ks
+
+
+def _shaped_like_k(m: np.ndarray, k) -> TransferMatrix | np.ndarray:
+    """The stack m (K, 2, 2) solved at ``_flat_k(k)``, shaped as k was: a
+    TransferMatrix for a scalar k, else shape k.shape + (2, 2)."""
+    if np.ndim(k) == 0:
+        return TransferMatrix(m[0], k)
+    return m.reshape(np.shape(k) + (2, 2))
 
 
 @dataclass(frozen=True)

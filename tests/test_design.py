@@ -144,7 +144,7 @@ VERIFY_TOL_CALLS = {
 @pytest.mark.parametrize("bad", [float("nan"), 0.0, -1e-8, float("inf")])
 @pytest.mark.parametrize("call", sorted(VERIFY_TOL_CALLS))
 def test_unusable_verify_tol_is_refused_before_any_solve(call, bad, monkeypatch):
-    for name in ("factor_matrices", "alpha_for_reflection", "matrix_at", "transfer_matrix_dynamical"):
+    for name in ("factor_matrices", "alpha_for_reflection", "matrix_at"):
         monkeypatch.setattr(d, name, None)   # any factorisation or solve would fail
     with pytest.raises(ValueError, match="verify_tol must be positive and finite"):
         VERIFY_TOL_CALLS[call](bad)

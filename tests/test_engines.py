@@ -27,27 +27,16 @@ def exact_or_dynamical(p, k, tol=1e-10):
 
 
 class TestEffectiveHamiltonian:
-    def test_traceless_and_vanishing(self):
-        p = s.PiecewiseConstant((0.0, 1.0), (0.8 + 0.3j,))
-        ham = s.EffectiveHamiltonian(p, 1.2)
-        h = ham.interaction(0.4)
-        assert abs(h[0, 0] + h[1, 1]) < 1e-15
-        assert np.abs(ham.interaction(2.5)).max() == 0  # outside support
-
-    def test_schroedinger_picture_free_part(self):
-        p = s.zero_potential()
-        ham = s.EffectiveHamiltonian(p, 0.9)
-        np.testing.assert_allclose(ham.schroedinger(0.0), ham.free(), rtol=0, atol=0)
-
     def test_direct_integration_matches_closed_form(self):
-        # integrate i dM/dx = H(x) M across a barrier and compare
+        # integrate i dM/dx = H(x) M across a barrier, with the interaction-picture
+        # H(x) = (v/2k) [[1, e^{-2ikx}], [-e^{2ikx}, -1]], and compare
         z, L, k = 0.6 - 0.2j, 1.0, 1.1
-        p = s.PiecewiseConstant((0.0, L), (z,))
-        ham = s.EffectiveHamiltonian(p, k)
 
         def rhs(x, y):
+            ph = np.exp(2j * k * x)
+            h = (z / (2 * k)) * np.array([[1.0, 1.0 / ph], [-ph, -1.0]])
             m = (y[:4] + 1j * y[4:]).reshape(2, 2)
-            dm = -1j * ham.interaction(x) @ m
+            dm = -1j * h @ m
             return np.concatenate([dm.real.ravel(), dm.imag.ravel()])
 
         y0 = np.concatenate([IDENTITY.real.ravel(), IDENTITY.imag.ravel()])
@@ -71,7 +60,7 @@ class TestDynamical:
     def test_delta_splice_is_exact(self):
         comb = s.DeltaComb([(0.8 - 1.1j, -0.2), (2.0, 0.7)])
         md = s.transfer_matrix_dynamical(comb, K_TEST)
-        assert np.abs(md.m - s.multi_delta_matrix(comb, K_TEST).m).max() < 1e-13
+        assert np.abs(md.m - s.exact_matrix(comb, K_TEST).m).max() < 1e-13
 
     def test_mixed_delta_and_barrier(self):
         p = s.Sum(
@@ -601,7 +590,7 @@ class TestLsAmplitudes:
 
     def test_comb_against_closed_form(self):
         comb = s.DeltaComb([(0.5 + 0.8j, -0.6), (1.0, 0.0), (-0.7j, 0.9)])
-        ref = s.multi_delta_matrix(comb, K_TEST).amplitudes()
+        ref = s.exact_matrix(comb, K_TEST).amplitudes()
         res = s.ls_amplitudes(comb, K_TEST, 1e-11)
         assert abs(res.data.r_left - ref.r_left) < 1e-9
         assert abs(res.data.r_right - ref.r_right) < 1e-9

@@ -11,15 +11,15 @@ from conftest import assert_close, corpus, rel_diff
 def rule_by_rule(p, k):
     """The closed-form rules applied node by node, as a reference dispatcher."""
     if isinstance(p, s.DeltaComb):
-        return s.multi_delta_matrix(p, k)
+        return s.exact_matrix(p, k)
     if isinstance(p, s.PiecewiseConstant):
-        return s.piecewise_matrix(p, k)
+        return s.exact_matrix(p, k)
     if isinstance(p, s.Translated):
         return s.translate_matrix(rule_by_rule(p.inner, k), p.shift)
     if isinstance(p, s.TimeReversed):
         return s.time_reverse_matrix(rule_by_rule(p.inner, k))
     if isinstance(p, s.LocallyPeriodic):
-        return s.locally_periodic_matrix(rule_by_rule(p.cell, k), p.period, p.copies, k)
+        return s.locally_periodic_matrix(rule_by_rule(p.cell, k), p.period, p.copies)
     if isinstance(p, s.Sum) and not p.overlapping:
         return s.compose_chain([rule_by_rule(q, k) for q in p.spatially_sorted()])
     raise s.NotExactlySolvable(type(p).__name__)
@@ -61,7 +61,7 @@ class TestMultiDelta:
     def test_single_term(self):
         comb = s.DeltaComb([(1.2j, 0.4)])
         k = 1.1
-        assert np.abs(s.multi_delta_matrix(comb, k).m - s.delta_matrix(1.2j, 0.4, k).m).max() == 0
+        assert np.abs(s.exact_matrix(comb, k).m - s.delta_matrix(1.2j, 0.4, k).m).max() == 0
 
     def test_entries_multilinear(self):
         # second difference in one strength vanishes: entries are degree-1 in each z_j
@@ -69,7 +69,7 @@ class TestMultiDelta:
         z2 = 0.5 - 0.2j
 
         def m_of(z1):
-            return s.multi_delta_matrix(s.DeltaComb([(z1, a1), (z2, a2)]), k).m
+            return s.exact_matrix(s.DeltaComb([(z1, a1), (z2, a2)]), k).m
 
         z0, h = 0.6 + 0.1j, 0.37
         second = m_of(z0 + h) - 2 * m_of(z0) + m_of(z0 - h)
@@ -78,8 +78,8 @@ class TestMultiDelta:
     def test_equal_spacing_matches_locally_periodic(self):
         z, ell, k, n = 0.4 - 0.6j, 1.3, 0.77, 5
         comb = s.DeltaComb([(z, j * ell) for j in range(n)])
-        brute = s.multi_delta_matrix(comb, k)
-        cheb = s.locally_periodic_matrix(s.delta_matrix(z, 0.0, k), ell, n, k)
+        brute = s.exact_matrix(comb, k)
+        cheb = s.locally_periodic_matrix(s.delta_matrix(z, 0.0, k), ell, n)
         assert rel_diff(brute.m, cheb.m) < 1e-12
 
     def test_generator_form_on_delta_cell(self):
@@ -133,7 +133,7 @@ class TestBarrier:
     def test_piecewise_single_cell(self):
         p = s.PiecewiseConstant((0.1, 0.9), (1.4 - 0.2j,))
         k = 0.9
-        assert np.abs(s.piecewise_matrix(p, k).m - s.barrier_matrix(1.4 - 0.2j, 0.1, 0.9, k).m).max() == 0
+        assert np.abs(s.exact_matrix(p, k).m - s.barrier_matrix(1.4 - 0.2j, 0.1, 0.9, k).m).max() == 0
 
     def test_bilayer_product(self):
         zm, zp, L, k = 1.1 + 0.3j, -0.7j, 1.0, 1.2
@@ -141,14 +141,14 @@ class TestBarrier:
         prod = s.compose(
             s.barrier_matrix(zp, 0.0, L / 2, k), s.barrier_matrix(zm, -L / 2, 0.0, k)
         )
-        assert np.abs(s.piecewise_matrix(p, k).m - prod.m).max() < 1e-15
+        assert np.abs(s.exact_matrix(p, k).m - prod.m).max() < 1e-15
 
     def test_split_into_ten_cells(self):
         z, k = 0.9 - 1.2j, 1.4
         bp = tuple(np.linspace(0.0, 2.0, 11))
         p = s.PiecewiseConstant(bp, (z,) * 10)
         whole = s.barrier_matrix(z, 0.0, 2.0, k)
-        assert np.abs(s.piecewise_matrix(p, k).m - whole.m).max() < 1e-10
+        assert np.abs(s.exact_matrix(p, k).m - whole.m).max() < 1e-10
 
 
 class TestUnimodularPower:
@@ -206,14 +206,14 @@ class TestLocallyPeriodic:
 
     def test_delta_cell_three_copies(self):
         z, ell, k = 0.9j, 1.1, 0.95
-        cheb = s.locally_periodic_matrix(s.delta_matrix(z, 0.0, k), ell, 3, k)
+        cheb = s.locally_periodic_matrix(s.delta_matrix(z, 0.0, k), ell, 3)
         comb = s.DeltaComb([(z, 0.0), (z, ell), (z, 2 * ell)])
-        assert rel_diff(cheb.m, s.multi_delta_matrix(comb, k).m) < 1e-12
+        assert rel_diff(cheb.m, s.exact_matrix(comb, k).m) < 1e-12
 
     def test_barrier_cell_vs_power_route(self):
         z, ell, k, n = 0.5 + 0.15j, 1.0, 1.1, 1000
         cell = s.barrier_matrix(z, 0.0, 0.8, k)
-        cheb = s.locally_periodic_matrix(cell, ell, n, k)
+        cheb = s.locally_periodic_matrix(cell, ell, n)
         L = cell.m @ propagation_matrix(k, ell)
         power = (
             propagation_matrix(k, (1 - n) * ell)
@@ -227,10 +227,10 @@ class TestLocallyPeriodic:
         z, ell, k = 0.45 - 0.3j, 0.9, 1.2
         cell = s.barrier_matrix(z, 0.0, 0.6, k)
         m_copies, n_copies = 3, 4
-        total = s.locally_periodic_matrix(cell, ell, m_copies + n_copies, k)
-        first = s.locally_periodic_matrix(cell, ell, n_copies, k)
+        total = s.locally_periodic_matrix(cell, ell, m_copies + n_copies)
+        first = s.locally_periodic_matrix(cell, ell, n_copies)
         second = s.translate_matrix(
-            s.locally_periodic_matrix(cell, ell, m_copies, k), n_copies * ell
+            s.locally_periodic_matrix(cell, ell, m_copies), n_copies * ell
         )
         composed = s.compose(second, first)
         assert rel_diff(total.m, composed.m) < 1e-9

@@ -183,7 +183,8 @@ SCALAR_K_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("k", [math.nan, math.inf])
+# every scalar entry refuses a k that is not positive and finite, NaN and 0 included
+@pytest.mark.parametrize("k", [math.nan, math.inf, 0.0, -1.0])
 @pytest.mark.parametrize("entry", sorted(SCALAR_K_ENTRY_POINTS))
 def test_non_finite_scalar_k_is_refused(entry, k):
     with pytest.raises(ValueError, match="k must be positive and finite"):

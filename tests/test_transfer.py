@@ -94,7 +94,7 @@ class TestCompose:
         composed = s.compose(
             s.delta_matrix(-0.5j, 0.6, k), s.delta_matrix(0.7 + 0.2j, -0.4, k)
         )
-        multi = s.multi_delta_matrix(comb, k)
+        multi = s.exact_matrix(comb, k)
         assert np.abs(composed.m - multi.m).max() < 1e-15
 
     def test_split_barrier(self):
